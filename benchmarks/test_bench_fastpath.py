@@ -1,29 +1,24 @@
-"""Benchmarks of the compiled replay fast path and its kernel tiers.
+"""Benchmarks of the compiled replay fast path.
 
 For each benchmark log, replay the unified baseline and the Figure 9
-generational layouts through all four replay tiers —
+generational layouts down both replay tiers —
 
-* **object**: per-record dispatch over record objects,
-* **batched**: the general batched loop over the packed columns,
-* **specialized**: the policy-specialized kernels, scalar guards,
-* **vectorized**: the kernels with the columnar superset guards,
+* **object**: per-record dispatch over record objects (the oracle),
+* **batched**: the batched loop over the packed columns,
 
 asserting the results are identical tier-for-tier and measuring each
 tier's wall time, both in aggregate and per manager.
 
 Besides the pytest-benchmark timings, the module writes
 ``benchmarks/results/BENCH_fastpath.json``: per-tier wall times and
-events/second, per-manager speedup rows, specialization/memoization
-time (the one-time ``prepare_plan`` cost vs the memo hit), and the
-speculation counters (streak coverage, segment commits, side exits,
-guard aborts).  The CI perf-smoke job parses that file and enforces
-the speedup floors (the in-test assertions are deliberately softer, so
-a loaded laptop doesn't flake the suite).
+events/second and per-manager speedup rows.  The CI perf-smoke job
+parses that file and enforces the speedup floor (the in-test
+assertions are deliberately softer, so a loaded laptop doesn't flake
+the suite).
 
-This module runs the logs at **full scale** (``scale=1``): the kernel
-tiers' whole point is replay throughput on access-dense full-length
-logs, and shrunken logs dilute the hit streaks the kernels batch.  The
-scale is recorded in the JSON.
+This module runs the logs at **full scale** (``scale=1``): replay
+throughput on access-dense full-length logs is the thing under test.
+The scale is recorded in the JSON.
 
 Set ``REPRO_BENCH_QUICK=1`` to shrink to two benchmarks and two
 configs (what CI runs).
@@ -44,14 +39,7 @@ from repro.core.generational import GenerationalCacheManager
 from repro.core.unified import UnifiedCacheManager
 from repro.experiments.dataset import WorkloadDataset
 from repro.experiments.evaluation import baseline_capacity
-from repro.fastpath import (
-    FASTPATH_TOTALS,
-    batched_path,
-    object_path,
-    prepare_plan,
-    set_vectorized,
-    vectorized_enabled,
-)
+from repro.fastpath import FASTPATH_TOTALS, object_path
 from repro.fastpath.artifacts import ARTIFACT_TOTALS
 from repro.overhead.model import TABLE2_COSTS
 
@@ -61,8 +49,8 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 FASTPATH_SCALE = 1.0
 
 BENCHES = (
-    # gzip (densest streaks) + iexplore (heaviest log): the pair that
-    # exercises both kernel regimes while CI stays minutes-cheap.
+    # gzip (a short SPEC loop) + iexplore (the heaviest log): both
+    # ends of the log-size range while CI stays minutes-cheap.
     ["gzip", "iexplore"]
     if QUICK
     else ["gzip", "crafty", "word", "iexplore"]
@@ -70,7 +58,7 @@ BENCHES = (
 CONFIGS = FIGURE9_CONFIGS[:2] if QUICK else FIGURE9_CONFIGS
 
 #: The replay tiers, slowest first.
-TIERS = ("object", "batched", "specialized", "vectorized")
+TIERS = ("object", "batched")
 
 #: Per-bench measurements accumulated across tests, flushed to JSON by
 #: the final test in this module.
@@ -102,38 +90,27 @@ def _replay_tier(dataset, name, tier, reps):
     """Replay every config over one benchmark on one tier *reps*
     times; returns ``(results, per_manager_seconds)`` — results from
     the last rep (they are deterministic), seconds the per-manager min
-    across reps.  Logs/plans are already materialized so only replay
-    is timed."""
+    across reps.  Logs are already materialized so only replay is
+    timed."""
     capacity = baseline_capacity(dataset.stats(name).total_trace_bytes)
     log = dataset.log(name) if tier == "object" else dataset.compiled(name)
-    was_vectorized = vectorized_enabled()
     results = []
     seconds = []
-    try:
-        if tier == "specialized":
-            set_vectorized(False)
-        elif tier == "vectorized":
-            set_vectorized(True)
-        for rep in range(reps):
-            results = []
-            for index, manager in enumerate(_managers(capacity)):
-                sim = CacheSimulator(manager, TABLE2_COSTS)
-                started = time.perf_counter()
-                if tier == "object":
-                    with object_path():
-                        results.append(sim.run(log))
-                elif tier == "batched":
-                    with batched_path():
-                        results.append(sim.run(log))
-                else:
+    for rep in range(reps):
+        results = []
+        for index, manager in enumerate(_managers(capacity)):
+            sim = CacheSimulator(manager, TABLE2_COSTS)
+            started = time.perf_counter()
+            if tier == "object":
+                with object_path():
                     results.append(sim.run(log))
-                elapsed = time.perf_counter() - started
-                if rep == 0:
-                    seconds.append(elapsed)
-                elif elapsed < seconds[index]:
-                    seconds[index] = elapsed
-    finally:
-        set_vectorized(was_vectorized)
+            else:
+                results.append(sim.run(log))
+            elapsed = time.perf_counter() - started
+            if rep == 0:
+                seconds.append(elapsed)
+            elif elapsed < seconds[index]:
+                seconds[index] = elapsed
     return results, seconds
 
 
@@ -146,23 +123,9 @@ def _tier_entry(seconds, events):
 
 @pytest.mark.parametrize("name", BENCHES)
 def test_bench_fastpath_replay(benchmark, dataset, name):
-    """All four replay tiers over one benchmark across all configs,
+    """Both replay tiers over one benchmark across all configs,
     checked result-for-result against the object path."""
     compiled = dataset.compiled(name)
-
-    # Specialization time: the one-time plan construction (or, on a
-    # warm artifact store, the plan load), then the in-process memo
-    # hit — reported apart from replay.  No kernel replay has touched
-    # this compiled log yet, so the first call really is cold.
-    built_before = FASTPATH_TOTALS["plans_built"]
-    t0 = time.perf_counter()
-    plan = prepare_plan(compiled)
-    plan_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    prepare_plan(compiled)
-    memo_seconds = time.perf_counter() - t0
-    plan_built = FASTPATH_TOTALS["plans_built"] > built_before
-
     reps = _reps(compiled)
     tier_results = {}
     tier_seconds = {}
@@ -170,7 +133,7 @@ def test_bench_fastpath_replay(benchmark, dataset, name):
     counters = {}
     for tier in TIERS:
         before = dict(FASTPATH_TOTALS)
-        if tier == "vectorized":
+        if tier == "batched":
             results, seconds = run_once(
                 benchmark, _replay_tier, dataset, name, tier, reps
             )
@@ -183,29 +146,21 @@ def test_bench_fastpath_replay(benchmark, dataset, name):
             key: FASTPATH_TOTALS[key] - before[key] for key in FASTPATH_TOTALS
         }
 
-    # Byte-identical results on every tier, per manager.
-    reference = tier_results["object"]
-    for tier in TIERS[1:]:
-        for obj, fast in zip(reference, tier_results[tier]):
-            assert obj.stats == fast.stats, (name, tier)
-            assert obj.overhead_instructions == fast.overhead_instructions
-            assert obj.final_fragmentation == fast.final_fragmentation
-            assert obj.final_occupancy == fast.final_occupancy
+    # Byte-identical results on both tiers, per manager.
+    for obj, fast in zip(tier_results["object"], tier_results["batched"]):
+        assert obj.stats == fast.stats, name
+        assert obj.overhead_instructions == fast.overhead_instructions
+        assert obj.final_fragmentation == fast.final_fragmentation
+        assert obj.final_occupancy == fast.final_occupancy
 
-    # Every kernel-tier replay took a specialized kernel, committed
-    # streaks, and never aborted on the paper workloads.
+    # Every batched-tier replay took the batched loop.
     replays = 1 + len(CONFIGS)
-    for tier in ("specialized", "vectorized"):
-        assert counters[tier]["specialized_replays"] == replays * reps
-        assert counters[tier]["segment_commits"] > 0, (name, tier)
-        assert counters[tier]["guard_aborts"] == 0, (name, tier)
-    assert counters["vectorized"]["vectorized_replays"] == replays * reps
-    assert counters["specialized"]["vectorized_replays"] == 0
+    assert counters["batched"]["fast_replays"] == replays * reps
+    assert counters["batched"]["object_replays"] == 0
 
     capacity = baseline_capacity(dataset.stats(name).total_trace_bytes)
     managers = [m.name for m in _managers(capacity)]
     records = len(compiled) * replays
-    spec = counters["specialized"]
     _REPORT[name] = {
         "records": records,
         "accesses": compiled.n_accesses * replays,
@@ -220,62 +175,20 @@ def test_bench_fastpath_replay(benchmark, dataset, name):
                     f"{tier}_seconds": round(per_manager[tier][i], 6)
                     for tier in TIERS
                 },
-                "kernel_vs_batched": round(
-                    per_manager["batched"][i]
-                    / min(
-                        per_manager["specialized"][i],
-                        per_manager["vectorized"][i],
-                    ),
-                    3,
-                ),
-                "kernel_vs_object": round(
-                    per_manager["object"][i]
-                    / min(
-                        per_manager["specialized"][i],
-                        per_manager["vectorized"][i],
-                    ),
-                    3,
+                "batched_vs_object": round(
+                    per_manager["object"][i] / per_manager["batched"][i], 3
                 ),
             }
             for i, manager in enumerate(managers)
         ],
-        "specialization": {
-            "plan_seconds": round(plan_seconds, 6),
-            "memo_seconds": round(memo_seconds, 6),
-            "plan_built": plan_built,
-            "steps": len(plan.steps),
-        },
-        "speculation": {
-            "streak_records": spec["streak_records"] // (replays * reps),
-            "streak_coverage": round(
-                spec["streak_records"] / spec["records_replayed"], 4
-            ),
-            "segment_commits": spec["segment_commits"] // reps,
-            "segment_side_exits": spec["segment_side_exits"] // reps,
-            "guard_aborts": spec["guard_aborts"]
-            + counters["vectorized"]["guard_aborts"],
-        },
-        # Legacy keys the CI floor checks read; "fast" is the better
-        # kernel tier (vectorization wins on some logs, loses on
-        # others — either way the kernels are the shipped fast path).
         "object_seconds": round(tier_seconds["object"], 6),
-        "fast_seconds": round(
-            min(tier_seconds["specialized"], tier_seconds["vectorized"]), 6
-        ),
-        "speedup": round(
-            tier_seconds["object"]
-            / min(tier_seconds["specialized"], tier_seconds["vectorized"]),
-            3,
-        ),
-        "events_per_second": round(
-            records
-            / min(tier_seconds["specialized"], tier_seconds["vectorized"])
-        ),
+        "fast_seconds": round(tier_seconds["batched"], 6),
+        "speedup": round(tier_seconds["object"] / tier_seconds["batched"], 3),
+        "events_per_second": round(records / tier_seconds["batched"]),
     }
-    # Soft floors; the CI perf-smoke job enforces the real ones from
+    # Soft floor; the CI perf-smoke job enforces the real one from
     # the emitted JSON, aggregated over every bench.
-    assert tier_seconds["vectorized"] < tier_seconds["object"]
-    assert tier_seconds["specialized"] < tier_seconds["object"]
+    assert tier_seconds["batched"] < tier_seconds["object"]
 
 
 def test_bench_fastpath_report(benchmark, dataset):
@@ -294,7 +207,7 @@ def test_bench_fastpath_report(benchmark, dataset):
     )
     best_rows = sorted(
         (row for r in _REPORT.values() for row in r["managers"]),
-        key=lambda row: row["kernel_vs_batched"],
+        key=lambda row: row["batched_vs_object"],
         reverse=True,
     )
     report = {
@@ -303,23 +216,10 @@ def test_bench_fastpath_report(benchmark, dataset):
         "configs": 1 + len(CONFIGS),
         "benches": _REPORT,
         "total": {
-            "tiers": {
-                tier: round(totals[tier], 6) for tier in TIERS
-            },
+            "tiers": {tier: round(totals[tier], 6) for tier in TIERS},
             "object_seconds": round(totals["object"], 6),
-            "fast_seconds": round(
-                min(totals["specialized"], totals["vectorized"]), 6
-            ),
-            "speedup": round(
-                totals["object"]
-                / min(totals["specialized"], totals["vectorized"]),
-                3,
-            ),
-            "kernel_vs_batched": round(
-                totals["batched"]
-                / min(totals["specialized"], totals["vectorized"]),
-                3,
-            ),
+            "fast_seconds": round(totals["batched"], 6),
+            "speedup": round(totals["object"] / totals["batched"], 3),
             "best_manager": best_rows[0] if best_rows else None,
         },
         "fastpath_totals": dict(FASTPATH_TOTALS),

@@ -37,11 +37,6 @@ HOOK_METHODS = frozenset(
         "unmap_module",
         "pin",
         "unpin",
-        # Kernel-specializer hooks: the shape declaration the
-        # specializer folds, and the bulk touch that retires a
-        # committed hit streak.
-        "replay_kernel_spec",
-        "touch_streak",
     }
 )
 
@@ -67,10 +62,6 @@ ALLOWED_CALLS = frozenset(
         "Evicted",
         "Promoted",
         "AccessOutcome",
-        # The kernel shape declaration (an immutable description, not
-        # an effect) and the streak zip the bulk touch walks.
-        "KernelSpec",
-        "zip",
         # Order-safe builtins and containers.
         "append",
         "add",

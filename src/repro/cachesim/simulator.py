@@ -32,7 +32,6 @@ from repro.fastpath import (
     ensure_compiled,
     fastpath_enabled,
     replay_compiled,
-    replay_specialized,
 )
 from repro.overhead.accounting import OverheadAccount
 from repro.overhead.model import CostModel
@@ -174,9 +173,7 @@ class CacheSimulator:
         :attr:`~repro.core.manager.CacheManager.fastpath_safe`, no
         sanitizer is attached, and the fast path is enabled, the log is
         compiled (a one-time pass, free if already compiled) and driven
-        through a policy-specialized kernel when the manager publishes
-        a :class:`~repro.core.manager.KernelSpec` (falling back to the
-        batched loop otherwise); the result is byte-identical to the
+        through the batched loop; the result is byte-identical to the
         object path's.  With a sanitizer attached, the object path runs
         unconditionally — sanitizers observe per-record events.
         """
@@ -185,9 +182,7 @@ class CacheSimulator:
             and self.manager.fastpath_safe
             and fastpath_enabled()
         ):
-            compiled = ensure_compiled(log)
-            if not replay_specialized(self, compiled):
-                replay_compiled(self, compiled)
+            replay_compiled(self, ensure_compiled(log))
             return self._finish(log)
         FASTPATH_TOTALS["object_replays"] += 1
         records = (

@@ -340,8 +340,14 @@ class ClusterServer:
                     writer, 200, cluster.status_dict(route[1])
                 )
             elif len(route) == 2 and route[0] == "results":
-                status = cluster.status_dict(route[1])
-                if status["state"] != DONE:
+                try:
+                    status = cluster.status_dict(route[1])
+                except JobNotFoundError:
+                    # Possibly a completion evicted by retention:
+                    # cluster.result falls back to the shared store and
+                    # raises JobNotFoundError itself if that misses too.
+                    status = None
+                if status is not None and status["state"] != DONE:
                     error = status["error"]
                     await self._send_json(
                         writer,

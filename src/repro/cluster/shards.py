@@ -36,7 +36,12 @@ import threading
 from repro.cluster.admission import AdmissionController
 from repro.cluster.events import EventBus
 from repro.cluster.ring import ShardRing
-from repro.errors import ConfigError, OverloadedError, ServiceError
+from repro.errors import (
+    ConfigError,
+    JobNotFoundError,
+    OverloadedError,
+    ServiceError,
+)
 from repro.service.jobs import JobSpec, job_id as compute_job_id
 from repro.service.scheduler import (
     DONE,
@@ -298,8 +303,20 @@ class ClusterScheduler:
         return self._owner_of(record.job_id).record_dict(record)
 
     def result(self, job_id: str) -> dict:
-        """Completed payload from the owning shard."""
-        return self._owner_of(job_id).result(job_id)
+        """Completed payload from the owning shard.
+
+        A completed record can age out of its shard's bounded terminal
+        table (``completed_retention``) before its result is fetched;
+        the payload is still in the shared store, so an id the shard
+        no longer knows is looked up there before it 404s.
+        """
+        try:
+            return self._owner_of(job_id).result(job_id)
+        except JobNotFoundError:
+            payload = self.store.get(job_id) if self.store is not None else None
+            if payload is None:
+                raise
+            return payload
 
     def wait(
         self, job_ids: list[str] | None = None, timeout: float | None = None

@@ -55,104 +55,47 @@ FASTPATH_TOTALS = {
     "fast_replays": 0,
     "object_replays": 0,
     "records_replayed": 0,
-    # Kernel-specializer counters (repro.fastpath.kernels).
-    "specialized_replays": 0,
-    "vectorized_replays": 0,
-    "streak_records": 0,
-    "segment_commits": 0,
-    "segment_side_exits": 0,
-    "guard_aborts": 0,
-    "plans_built": 0,
-    "plans_loaded": 0,
 }
 
-#: The replay tiers, fastest first.  ``kernel`` (the default) lets the
-#: specializer replace the batched loop with a policy-specialized
-#: kernel when the manager publishes a
-#: :class:`~repro.core.manager.KernelSpec`; ``batched`` pins replay to
-#: the general batched loop (the pre-kernel fast path, and the
-#: baseline the kernel speedups are measured against); ``off`` forces
-#: the object path.
-_MODES = ("kernel", "batched", "off")
-
-
-def _mode_from_env(value: str | None) -> str:
-    if value is None:
-        return "kernel"
-    lowered = value.lower()
-    if lowered in ("0", "off", "no", "false"):
-        return "off"
-    if lowered == "batched":
-        return "batched"
-    return "kernel"
-
-
 #: ``REPRO_FASTPATH=0`` (or ``off``/``no``/``false``) forces every
-#: replay onto the object path; ``REPRO_FASTPATH=batched`` pins the
-#: batched loop — the A/B/C switch the perf benchmarks and
-#: ``docs/performance.md`` use to measure each tier.
-_MODE = _mode_from_env(os.environ.get("REPRO_FASTPATH"))
+#: replay onto the object path — the A/B switch the perf benchmarks
+#: and ``docs/performance.md`` use to measure the speedup.
+_ENABLED = os.environ.get("REPRO_FASTPATH", "1").lower() not in (
+    "0",
+    "off",
+    "no",
+    "false",
+)
 
 
 def enable_fastpath() -> None:
-    """Re-enable the compiled replay loop (the default: kernels on)."""
-    global _MODE
-    _MODE = "kernel"
+    """Re-enable the compiled replay loop (the default)."""
+    global _ENABLED
+    _ENABLED = True
 
 
 def disable_fastpath() -> None:
     """Force every replay onto the object path (A/B testing and the
     equivalence suite)."""
-    global _MODE
-    _MODE = "off"
+    global _ENABLED
+    _ENABLED = False
 
 
 def fastpath_enabled() -> bool:
-    """Whether a compiled loop (batched or kernel) may be selected."""
-    return _MODE != "off"
-
-
-def fastpath_mode() -> str:
-    """The current replay tier: ``kernel``, ``batched``, or ``off``."""
-    return _MODE
-
-
-def set_fastpath_mode(mode: str) -> None:
-    """Pin the replay tier (see :data:`_MODES`)."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown fastpath mode {mode!r}; choose from {_MODES}")
-    global _MODE
-    _MODE = mode
-
-
-def kernels_enabled() -> bool:
-    """Whether the specialized kernels may be selected."""
-    return _MODE == "kernel"
+    """Whether the compiled loop may be selected."""
+    return _ENABLED
 
 
 class object_path:
     """Context manager: run the enclosed replays on the object path."""
 
     def __enter__(self) -> None:
-        self._was = _MODE
+        self._was = _ENABLED
         disable_fastpath()
 
     def __exit__(self, *exc) -> None:
-        global _MODE
-        _MODE = self._was
-
-
-class batched_path:
-    """Context manager: pin the enclosed replays to the batched loop
-    (kernels off) — the baseline for kernel A/B measurements."""
-
-    def __enter__(self) -> None:
-        self._was = _MODE
-        set_fastpath_mode("batched")
-
-    def __exit__(self, *exc) -> None:
-        global _MODE
-        _MODE = self._was
+        global _ENABLED
+        _ENABLED = self._was
 
 
 def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:

@@ -20,11 +20,6 @@ class LFUCache(CodeCache):
 
     policy_name = "lfu"
 
-    # The victim scan sorts by access_count: hits are plain touches,
-    # but the counters are read at eviction time, so the kernels must
-    # keep maintaining them (no dead-store elision).
-    reads_trace_counters = True
-
     def _allocate(self, trace: CachedTrace) -> tuple[int, list[int]]:
         size = trace.size
         if size > self.capacity:

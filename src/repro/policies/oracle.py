@@ -42,9 +42,6 @@ class OracleCache(CodeCache):
 
     policy_name = "oracle"
 
-    # _after_touch feeds last_access into the oracle clock.
-    reads_trace_counters = True
-
     def __init__(self, capacity: int, name: str = "cache") -> None:
         super().__init__(capacity, name)
         self._schedule: dict[int, list[int]] = {}

@@ -104,6 +104,29 @@ class TestEndpoints:
             server.stop()
             cluster.shutdown()
 
+    def test_result_survives_record_retention(self):
+        cluster = ClusterScheduler(
+            shards=1,
+            store=TieredResultStore(),
+            completed_retention=1,
+            worker_target=echo_worker,
+        )
+        cluster.start()
+        server = make_cluster_server(cluster, port=0)
+        host, port = server.address
+        try:
+            with ServiceClient(f"http://{host}:{port}") as client:
+                ids = [client.submit(_spec(n))["job_id"] for n in range(4)]
+                assert cluster.wait(timeout=30)
+                with pytest.raises(ServiceError, match="HTTP 404"):
+                    client.status(ids[0])
+                assert client.result(ids[0])["echo"] == "figure-1"
+                with pytest.raises(ServiceError, match="HTTP 404"):
+                    client.result("j" + "0" * 31)
+        finally:
+            server.stop()
+            cluster.shutdown()
+
     def test_unknown_endpoint_is_404(self, service):
         client, _ = service
         with pytest.raises(ServiceError, match="HTTP 404"):

@@ -213,6 +213,23 @@ class TestRetentionAndStore:
             assert record.cached
             assert store.counters()["hot_hits"] > before
 
+    def test_result_of_an_evicted_completion_comes_from_the_store(self):
+        with ClusterScheduler(
+            shards=1,
+            store=TieredResultStore(),
+            completed_retention=1,
+            worker_target=echo_worker,
+        ) as cluster:
+            records = [cluster.submit(_spec(n)) for n in range(4)]
+            assert cluster.wait(timeout=30)
+            first = records[0].job_id
+            # Retention dropped the record, not the result.
+            with pytest.raises(JobNotFoundError):
+                cluster.status_dict(first)
+            assert cluster.result(first)["echo"] == "figure-1"
+            with pytest.raises(JobNotFoundError):
+                cluster.result("j" + "0" * 31)
+
 
 class TestShardEquivalence:
     def test_one_and_three_shard_results_byte_identical(self, tmp_path):

@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import GenerationalConfig
 from repro.errors import ConfigError
-from repro.experiments.shared import simulate_mix
-from repro.shared.compose import LIBRARY_CATALOG, zipf_reaches
+from repro.experiments.evaluation import baseline_capacity
+from repro.experiments.shared import mix_benchmarks, simulate_mix
+from repro.shared.compose import (
+    LIBRARY_CATALOG,
+    build_process_workloads,
+    zipf_reaches,
+)
 from repro.shared.fleet import (
     FleetWorkloads,
     ProcessStream,
     churn_plan,
     stream_segments,
 )
-from repro.shared.policy import POLICY_VARIANTS
+from repro.shared.manager import make_group
+from repro.shared.policy import POLICY_VARIANTS, sharing_config_for
+from repro.shared.simulator import MultiProcessSimulator
 from repro.sim.interleave import SCHEDULES
 from tests.sim.test_interleave import (
     GOLDEN_SCHEDULE_DIGESTS,
@@ -218,35 +226,56 @@ class TestChurnPlan:
             churn_plan([10], fraction=1.5)
 
 
+def reference_outcome(mix, processes, policy, schedule, seed=42):
+    """The same cell as :func:`simulate_mix`, replayed through the
+    reference :class:`MultiProcessSimulator` over materialized
+    per-process logs and the reference interleaver."""
+    workloads = build_process_workloads(
+        mix_benchmarks(mix, processes), seed=seed, scale_multiplier=SCALE
+    )
+    capacities = tuple(
+        baseline_capacity(w.log.total_trace_bytes) for w in workloads
+    )
+    group = make_group(
+        capacities, GenerationalConfig(), sharing_config_for(policy)
+    )
+    return MultiProcessSimulator(
+        group, workloads, schedule=schedule, seed=seed
+    ).run()
+
+
+#: Every aggregate simulate_mix reports from the replay outcome.
+OUTCOME_FIELDS = (
+    "total_capacity",
+    "accesses",
+    "miss_rate",
+    "generated_bytes",
+    "dedup_generations",
+    "dedup_bytes",
+    "resident_bytes",
+    "duplicated_bytes",
+    "unique_content_bytes",
+)
+
+
 class TestEngineEquivalence:
-    """The fleet engine must reproduce the reference simulator's cell
-    dicts byte-for-byte on the paper-scale tables."""
+    """Every shared-cache cell runs on the fleet engine; it must
+    reproduce the reference simulator's aggregates exactly on the
+    paper-scale tables."""
 
     @pytest.mark.parametrize("mix", ["homogeneous", "heterogeneous"])
     @pytest.mark.parametrize("processes", [2, 4, 8])
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_cells_identical_across_engines(self, mix, processes, schedule):
         for policy in POLICY_VARIANTS:
-            legacy = simulate_mix(
+            cell = simulate_mix(
                 mix,
                 processes,
                 policy,
                 scale_multiplier=SCALE,
                 schedule=schedule,
             )
-            fleet = simulate_mix(
-                mix,
-                processes,
-                policy,
-                scale_multiplier=SCALE,
-                schedule=schedule,
-                engine="fleet",
-            )
-            assert legacy == fleet
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="engine"):
-            simulate_mix(
-                "homogeneous", 2, "private", scale_multiplier=SCALE,
-                engine="turbo",
-            )
+            reference = reference_outcome(mix, processes, policy, schedule)
+            assert {key: cell[key] for key in OUTCOME_FIELDS} == {
+                key: getattr(reference, key) for key in OUTCOME_FIELDS
+            }, policy
