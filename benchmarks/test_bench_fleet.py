@@ -6,6 +6,9 @@ by the final test in this module:
 * **scaling cell** — the P=1024 heterogeneous+Zipf cell (churned,
   random schedule) end to end: events/sec and the dedup ratio the
   scaling table reports;
+* **replay** — the fleet engine vs the reference
+  ``MultiProcessSimulator`` replaying the same shared-table cell under
+  each sharing policy (the CI floor is 1.8x);
 * **interleaver speedup** — the O(1)-amortized streaming scheduler
   vs the per-record reference interleaver merging the same P=256
   homogeneous fleet (the CI floor is 5x);
@@ -36,13 +39,28 @@ from repro.experiments.fleet import (
     fleet_specs,
     simulate_fleet_cell,
 )
-from repro.shared import build_process_workloads, make_group, sharing_config_for
+from repro.experiments.shared import mix_benchmarks
+from repro.shared import (
+    POLICY_VARIANTS,
+    MultiProcessSimulator,
+    build_process_workloads,
+    make_group,
+    sharing_config_for,
+)
 from repro.shared.fleet import FleetSimulator, FleetWorkloads, ProcessStream, stream_segments
 from repro.sim.interleave import DEFAULT_QUANTUM, interleave_logs
 
 #: Deep scale divisor: the process axis is the thing under test, so
 #: per-process logs stay ~1k records.
 FLEET_BENCH_SCALE = 256.0
+
+#: The replay comparison's cell: the shared table's largest
+#: heterogeneous cell, at the CI smoke scale divisor.
+REPLAY_PROCESSES = 8
+REPLAY_SCALE = 8.0
+
+#: Timed runs per engine and policy; each engine keeps its best.
+REPLAY_RUNS = 3
 
 #: Per-bench measurements accumulated across tests, flushed to JSON by
 #: the final test in this module.
@@ -78,6 +96,67 @@ def test_bench_fleet_scaling_cell(benchmark):
         "exited_early": result["exited_early"],
         "dedup_ratio": round(result["dedup_ratio"], 4),
         "miss_rate": round(result["miss_rate"], 5),
+    }
+
+
+def test_bench_fleet_replay(benchmark):
+    """Fleet engine vs reference simulator on one shared-table cell.
+
+    Both replay the heterogeneous 8-process cell (round-robin) under
+    every sharing policy against freshly built groups; compiled logs
+    and groups are built outside the timed region.  Each engine's time
+    is its best of :data:`REPLAY_RUNS` process-time runs, alternating
+    which engine goes first.
+    """
+    workloads = build_process_workloads(
+        mix_benchmarks("heterogeneous", REPLAY_PROCESSES),
+        seed=42,
+        scale_multiplier=REPLAY_SCALE,
+    )
+    capacities = tuple(
+        baseline_capacity(w.log.total_trace_bytes) for w in workloads
+    )
+    fleet_workloads = FleetWorkloads.from_process_workloads(workloads)
+    records = sum(len(w.log.records) for w in workloads)
+
+    def simulator(engine: str, policy: str):
+        group = make_group(
+            capacities, GenerationalConfig(), sharing_config_for(policy)
+        )
+        if engine == "fleet":
+            return FleetSimulator(group, fleet_workloads, seed=42)
+        return MultiProcessSimulator(group, workloads, seed=42)
+
+    def measure() -> dict[str, float]:
+        seconds = {"fleet": 0.0, "reference": 0.0}
+        for policy in POLICY_VARIANTS:
+            best = {}
+            for run in range(REPLAY_RUNS):
+                order = ("fleet", "reference")
+                for engine in order if run % 2 == 0 else order[::-1]:
+                    replay = simulator(engine, policy)
+                    start = time.process_time()
+                    replay.run()
+                    elapsed = time.process_time() - start
+                    best[engine] = min(best.get(engine, elapsed), elapsed)
+            for engine, elapsed in best.items():
+                seconds[engine] += elapsed
+        return seconds
+
+    seconds = run_once(benchmark, measure)
+    replayed = records * len(POLICY_VARIANTS)
+    ratio = seconds["reference"] / seconds["fleet"]
+    _REPORT["replay"] = {
+        "mix": "heterogeneous",
+        "processes": REPLAY_PROCESSES,
+        "scale_divisor": REPLAY_SCALE,
+        "policies": list(POLICY_VARIANTS),
+        "records": replayed,
+        "fleet_seconds": round(seconds["fleet"], 3),
+        "reference_seconds": round(seconds["reference"], 3),
+        "fleet_records_per_sec": round(replayed / seconds["fleet"]),
+        "reference_records_per_sec": round(replayed / seconds["reference"]),
+        "ratio": round(ratio, 2),
     }
 
 
@@ -177,7 +256,7 @@ def test_bench_fleet_report(benchmark):
     ``--benchmark-only`` — what the CI fleet-smoke job runs — still
     writes the report.
     """
-    assert set(_REPORT) == {"scaling_cell", "interleaver", "memory"}, (
+    assert set(_REPORT) == {"scaling_cell", "replay", "interleaver", "memory"}, (
         "run the full module, not one test"
     )
     report = run_once(

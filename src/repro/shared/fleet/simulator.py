@@ -26,6 +26,11 @@ make the fleet version scale where the reference cannot:
   column as segments replay — same per-record deltas, no
   ``ScheduledRecord`` objects.
 
+Hits, nearly every record, are served inline by one
+:meth:`~repro.shared.manager.SharedCacheGroup.hit` call each; the
+reference's ``lookup`` + ``on_hit`` pair stays the path the
+equivalence suite checks them against.
+
 Churned processes add one behavior the reference never needed: a
 process killed early (its stream ``limit``) releases its pins and
 unmaps every module it created into, so the shared cache's
@@ -137,6 +142,7 @@ class FleetSimulator:
         last_time = [0] * n
         consumed = [0] * n
         global_time = 0
+        hit = self.group.hit
         for segment in stream_segments(
             self.streams,
             schedule=self.schedule,
@@ -145,48 +151,62 @@ class FleetSimulator:
             weights=self.weights,
         ):
             process = segment.process
+            start, stop = segment.start, segment.stop
             distinct_index = workloads.assignment[process]
             workload = workloads.distinct[distinct_index]
             known = self._known[distinct_index]
-            op, time, trace_id, size, module, repeat = workload.columns
+            stats = self._summaries[process].stats
+            hits_by_cache = stats.hits_by_cache
             last = last_time[process]
-            for index in range(segment.start, segment.stop):
-                now = time[index]
+            for code, now, trace_id, size, module_id, repeat in zip(
+                *(column[start:stop] for column in workload.columns)
+            ):
                 delta = now - last
                 if delta > 0:
                     global_time += delta
                 last = now
-                code = op[index]
                 if code == OP_ACCESS:
-                    self._on_access(
-                        process,
-                        known,
-                        trace_id[index],
-                        repeat[index],
-                        global_time,
+                    # Resident accesses (nearly all of them) are served
+                    # inline by one group call; the rest are misses.
+                    info = known.get(trace_id)
+                    served = (
+                        None
+                        if info is None
+                        else hit(process, info[0], global_time, repeat, info[2])
                     )
+                    if served is None:
+                        self._on_miss(
+                            process, known, trace_id, repeat, global_time
+                        )
+                        continue
+                    cache, effects = served
+                    stats.accesses += repeat
+                    stats.hits += repeat
+                    hits_by_cache[cache] = hits_by_cache.get(cache, 0) + repeat
+                    if effects:
+                        self._absorb(process, effects)
                 elif code == OP_CREATE:
                     self._on_create(
                         process,
                         workload,
                         known,
-                        trace_id[index],
-                        size[index],
-                        module[index],
+                        trace_id,
+                        size,
+                        module_id,
                         global_time,
                     )
                 elif code == OP_UNMAP:
                     self._on_unmap(
-                        process, workload, known, module[index], global_time
+                        process, workload, known, module_id, global_time
                     )
                 elif code == OP_PIN:
-                    self._on_pin(process, known, trace_id[index])
+                    self._on_pin(process, known, trace_id)
                 elif code == OP_UNPIN:
-                    self._on_unpin(process, known, trace_id[index])
+                    self._on_unpin(process, known, trace_id)
                 elif code != OP_END:  # pragma: no cover - closed opcode set
                     raise LogFormatError(f"unhandled opcode {code}")
             last_time[process] = last
-            consumed[process] += segment.stop - segment.start
+            consumed[process] += stop - start
             stream = self.streams[process]
             if (
                 consumed[process] == stream.effective_length
@@ -241,7 +261,7 @@ class FleetSimulator:
         self._generate(process, info, time)
         self._apply_pending_pin(process, trace_id, info)
 
-    def _on_access(
+    def _on_miss(
         self,
         process: int,
         known: dict[int, tuple[int, int, int]],
@@ -249,36 +269,31 @@ class FleetSimulator:
         repeat: int,
         time: int,
     ) -> None:
+        """An access whose trace is not resident for *process* (the
+        replay loop serves resident ones itself)."""
         info = known.get(trace_id)
         if info is None:
             raise LogFormatError(
                 f"process {process} accessed unknown trace {trace_id}"
             )
         gid, _size, module_id = info
-        summary = self._summaries[process]
-        summary.stats.accesses += repeat
-        cache = self.group.lookup(process, gid)
-        if cache is None:
-            # Conflict miss: regenerate (possibly deduplicated against
-            # a shared copy) before execution resumes.
-            summary.stats.misses += 1
-            self._generate(process, info, time)
-            self._apply_pending_pin(process, trace_id, info)
-            remaining = repeat - 1
-            if remaining:
-                if self.group.lookup(process, gid) is None:
-                    # Uncacheable trace: every entry misses.
-                    summary.stats.misses += remaining
-                else:
-                    outcome = self.group.on_hit(
-                        process, gid, time, remaining, module_id
-                    )
-                    summary.stats.record_hit(outcome.cache, remaining)
-                    self._absorb(process, outcome.effects)
-        else:
-            outcome = self.group.on_hit(process, gid, time, repeat, module_id)
-            summary.stats.record_hit(outcome.cache, repeat)
-            self._absorb(process, outcome.effects)
+        stats = self._summaries[process].stats
+        stats.accesses += repeat
+        # Conflict miss: regenerate (possibly deduplicated against a
+        # shared copy) before execution resumes.
+        stats.misses += 1
+        self._generate(process, info, time)
+        self._apply_pending_pin(process, trace_id, info)
+        remaining = repeat - 1
+        if remaining:
+            served = self.group.hit(process, gid, time, remaining, module_id)
+            if served is None:
+                # Uncacheable trace: every entry misses.
+                stats.misses += remaining
+            else:
+                cache, effects = served
+                stats.record_hit(cache, remaining)
+                self._absorb(process, effects)
 
     def _on_unmap(
         self,
@@ -379,7 +394,7 @@ class FleetSimulator:
                 pending.discard(trace_id)
                 self._held_pins.setdefault(process, set()).add(info[0])
 
-    def _absorb(self, process: int, effects: list[Effect]) -> None:
+    def _absorb(self, process: int, effects: Sequence[Effect]) -> None:
         """Fold an effect list into the acting process's statistics."""
         stats = self._summaries[process].stats
         for effect in effects:

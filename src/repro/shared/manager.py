@@ -78,6 +78,21 @@ def _make_cache(config: GenerationalConfig, capacity: int, name: str) -> CodeCac
     return policy_class(capacity, name=name, **kwargs)
 
 
+#: One cache of a generational manager as :meth:`SharedCacheGroup.hit`
+#: probes it: ``(cache, name, handler)``, where ``handler(gid, time,
+#: count)`` applies the hits and returns their effects.
+_HitPath = tuple[CodeCache, str, Callable[[int, int, int], Sequence[Effect]]]
+
+
+def _hit_paths(manager: GenerationalCacheManager) -> tuple[_HitPath, ...]:
+    """*manager*'s caches in lookup order, each with the manager's
+    resolved hit handler."""
+    return tuple(
+        (cache, cache.name, manager.hit_handler(cache.name))
+        for cache in manager.caches()
+    )
+
+
 class SharedCacheGroup(abc.ABC):
     """N per-process cache views over one sharing policy."""
 
@@ -118,6 +133,19 @@ class SharedCacheGroup(abc.ABC):
         self, process: int, gid: int, time: int, count: int, module_id: int
     ) -> AccessOutcome:
         """Notify the group of *count* hits by *process* at *time*."""
+
+    @abc.abstractmethod
+    def hit(
+        self, process: int, gid: int, time: int, count: int, module_id: int
+    ) -> tuple[str, Sequence[Effect]] | None:
+        """The one-call hit path: :meth:`lookup` plus :meth:`on_hit`.
+
+        When *gid* is resident for *process*, apply *count* hits at
+        *time* and return ``(name of the serving cache, effects)``
+        (the effects are often an empty tuple).  Otherwise return None
+        and change nothing.  ``lookup``/``on_hit`` stay the reference
+        simulator's path, which the tests compare this against.
+        """
 
     @abc.abstractmethod
     def insert(
@@ -213,6 +241,7 @@ class PrivateCacheGroup(SharedCacheGroup):
         self._managers = [
             GenerationalCacheManager(cap, config) for cap in self.capacities
         ]
+        self._hit_paths = [_hit_paths(manager) for manager in self._managers]
         self.name = f"group[private x{self.n_processes}]"
 
     def lookup(self, process: int, gid: int) -> str | None:
@@ -222,6 +251,14 @@ class PrivateCacheGroup(SharedCacheGroup):
         self, process: int, gid: int, time: int, count: int, module_id: int
     ) -> AccessOutcome:
         return self._managers[process].on_hit(gid, time, count)
+
+    def hit(
+        self, process: int, gid: int, time: int, count: int, module_id: int
+    ) -> tuple[str, Sequence[Effect]] | None:
+        for cache, name, handler in self._hit_paths[process]:
+            if gid in cache:
+                return name, handler(gid, time, count)
+        return None
 
     def insert(
         self, process: int, gid: int, size: int, module_id: int, time: int
@@ -309,28 +346,57 @@ class SharedPersistentGroup(SharedCacheGroup):
     def on_hit(
         self, process: int, gid: int, time: int, count: int, module_id: int
     ) -> AccessOutcome:
+        cache = self.lookup(process, gid)
+        if cache is None:
+            raise KeyError(
+                f"on_hit called for trace {gid} not resident for process "
+                f"{process}"
+            )
         if self._tracker is not None:
             self._tracker.observe(gid, time, count)
-        nursery = self._nurseries[process]
-        if gid in nursery:
-            nursery.touch(gid, time, count)
+        if cache == NURSERY:
+            self._nurseries[process].touch(gid, time, count)
             return AccessOutcome(cache=NURSERY, effects=[])
-        probation = self._probations[process]
-        if gid in probation:
+        if cache == PROBATION:
+            probation = self._probations[process]
             trace = probation.touch(gid, time, count)
             effects: list[Effect] = []
             if self._qualifies_on_hit(gid, trace, time) and not trace.pinned:
                 self._promote_to_shared(process, trace, probation, time, effects)
             return AccessOutcome(cache=PROBATION, effects=effects)
-        if self.shared.contains(gid):
-            # A process may hit code it never compiled (or whose own
-            # copy already died): it links to the shared copy.
-            self.shared.attach(gid, process, module_id)
-            self.shared.touch(gid, time, count, process)
-            return AccessOutcome(cache=SHARED_PERSISTENT, effects=[])
-        raise KeyError(
-            f"on_hit called for trace {gid} not resident for process {process}"
-        )
+        # A process may hit code it never compiled (or whose own copy
+        # already died): it links to the shared copy.
+        self.shared.attach(gid, process, module_id)
+        self.shared.touch(gid, time, count, process)
+        return AccessOutcome(cache=SHARED_PERSISTENT, effects=[])
+
+    def hit(
+        self, process: int, gid: int, time: int, count: int, module_id: int
+    ) -> tuple[str, Sequence[Effect]] | None:
+        tracker = self._tracker
+        nursery = self._nurseries[process]
+        if gid in nursery:
+            if tracker is not None:
+                tracker.observe(gid, time, count)
+            return NURSERY, nursery.record_hits(gid, time, count)
+        probation = self._probations[process]
+        if gid in probation:
+            if tracker is not None:
+                tracker.observe(gid, time, count)
+            trace = probation.touch_resident(gid, time, count)
+            if self._qualifies_on_hit(gid, trace, time) and not trace.pinned:
+                effects: list[Effect] = []
+                self._promote_to_shared(process, trace, probation, time, effects)
+                return PROBATION, effects
+            return PROBATION, ()
+        shared = self.shared
+        if shared.contains(gid):
+            if tracker is not None:
+                tracker.observe(gid, time, count)
+            shared.attach(gid, process, module_id)
+            shared.touch(gid, time, count, process)
+            return SHARED_PERSISTENT, ()
+        return None
 
     def insert(
         self, process: int, gid: int, size: int, module_id: int, time: int
@@ -639,6 +705,7 @@ class SharedAllGroup(SharedCacheGroup):
         #: fleets replaying a handful of distinct binaries.
         self._attachments: dict[int, dict[int, int]] = {}
         self._pin_claims: dict[int, set[int]] = {}
+        self._hit_paths = _hit_paths(self._manager)
         self.name = f"group[shared-all x{self.n_processes}, {config.label()}]"
 
     def lookup(self, process: int, gid: int) -> str | None:
@@ -651,6 +718,19 @@ class SharedAllGroup(SharedCacheGroup):
         self._attach(gid, process, module_id)
         self._sync_attachments(outcome.effects)
         return outcome
+
+    def hit(
+        self, process: int, gid: int, time: int, count: int, module_id: int
+    ) -> tuple[str, Sequence[Effect]] | None:
+        for cache, name, handler in self._hit_paths:
+            if gid in cache:
+                effects = handler(gid, time, count)
+                if not self._attachments[gid].get(module_id, 0) >> process & 1:
+                    self._attach(gid, process, module_id)
+                if effects:
+                    self._sync_attachments(effects)
+                return name, effects
+        return None
 
     def insert(
         self, process: int, gid: int, size: int, module_id: int, time: int

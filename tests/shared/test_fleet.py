@@ -14,6 +14,7 @@ from repro.shared.compose import (
     zipf_reaches,
 )
 from repro.shared.fleet import (
+    FleetSimulator,
     FleetWorkloads,
     ProcessStream,
     churn_plan,
@@ -226,9 +227,10 @@ class TestChurnPlan:
             churn_plan([10], fraction=1.5)
 
 
-def reference_outcome(mix, processes, policy, schedule, seed=42):
-    """The same cell as :func:`simulate_mix`, replayed through the
-    reference :class:`MultiProcessSimulator` over materialized
+def replay_cell(engine, mix, processes, policy, schedule, seed=42):
+    """One :func:`simulate_mix` cell, replayed through *engine*: the
+    fleet engine over compiled columns (as ``simulate_mix`` does), or
+    the reference :class:`MultiProcessSimulator` over materialized
     per-process logs and the reference interleaver."""
     workloads = build_process_workloads(
         mix_benchmarks(mix, processes), seed=seed, scale_multiplier=SCALE
@@ -239,6 +241,13 @@ def reference_outcome(mix, processes, policy, schedule, seed=42):
     group = make_group(
         capacities, GenerationalConfig(), sharing_config_for(policy)
     )
+    if engine == "fleet":
+        return FleetSimulator(
+            group,
+            FleetWorkloads.from_process_workloads(workloads),
+            schedule=schedule,
+            seed=seed,
+        ).run()
     return MultiProcessSimulator(
         group, workloads, schedule=schedule, seed=seed
     ).run()
@@ -260,8 +269,10 @@ OUTCOME_FIELDS = (
 
 class TestEngineEquivalence:
     """Every shared-cache cell runs on the fleet engine; it must
-    reproduce the reference simulator's aggregates exactly on the
-    paper-scale tables."""
+    reproduce the reference simulator exactly on the paper-scale
+    tables: the aggregates ``simulate_mix`` reports, and every
+    process's counters (hits by serving cache, evictions, promotions,
+    dedup and generated bytes)."""
 
     @pytest.mark.parametrize("mix", ["homogeneous", "heterogeneous"])
     @pytest.mark.parametrize("processes", [2, 4, 8])
@@ -275,7 +286,13 @@ class TestEngineEquivalence:
                 scale_multiplier=SCALE,
                 schedule=schedule,
             )
-            reference = reference_outcome(mix, processes, policy, schedule)
+            reference = replay_cell(
+                "reference", mix, processes, policy, schedule
+            )
             assert {key: cell[key] for key in OUTCOME_FIELDS} == {
                 key: getattr(reference, key) for key in OUTCOME_FIELDS
             }, policy
+            fleet = replay_cell("fleet", mix, processes, policy, schedule)
+            assert len(fleet.processes) == len(reference.processes)
+            for got, want in zip(fleet.processes, reference.processes):
+                assert got == want, (policy, want.process)

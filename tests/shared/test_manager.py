@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import GenerationalConfig
+from repro.core.config import GenerationalConfig, PromotionMode
 from repro.core.effects import Evicted, EvictionReason, Promoted
-from repro.errors import ConfigError
+from repro.errors import CacheFullError, ConfigError
 from repro.shared.cache import SHARED_PERSISTENT
 from repro.shared.manager import (
     PrivateCacheGroup,
@@ -15,11 +15,20 @@ from repro.shared.manager import (
     make_group,
 )
 from repro.shared.policy import (
+    POLICY_VARIANTS,
     SharingConfig,
     SharingPolicy,
     TemperatureTracker,
     sharing_config_for,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - hypothesis is an optional dep
+    HAVE_HYPOTHESIS = False
 
 #: Nursery holds two 100-byte traces; probation and persistent are
 #: roomy, so promotion flows are easy to drive deterministically.
@@ -184,6 +193,13 @@ class TestTemperaturePromotion:
         group.on_hit(0, 7, 12, 1, module_id=0)
         assert group.lookup(0, 7) == SHARED_PERSISTENT
 
+    def test_failed_on_hit_leaves_the_tracker_cold(self):
+        group = _shared_group(temperature=True)
+        with pytest.raises(KeyError):
+            group.on_hit(0, 999, 10, 1, module_id=0)
+        # A later insert of gid 999 must not start warm.
+        assert group._tracker.temperature(999, time=10) == 0.0
+
     def test_tracker_decay_halves_per_half_life(self):
         tracker = TemperatureTracker(threshold=2.0, half_life=100)
         tracker.observe(1, time=0, count=4)
@@ -226,3 +242,150 @@ class TestSharedAllGroup:
         group.unpin(0, 7)
         group.unpin(1, 7)
         group.check_invariants()
+
+
+#: Differential-test sizing: three processes whose hierarchies each
+#: hold only a few of the candidate traces (the largest sizes overflow
+#: a private nursery and take the oversized-trace fallback).
+DIFF_CAPS = (500, 500, 500)
+DIFF_SIZES = (40, 60, 90, 120)
+DIFF_GIDS = 10
+
+
+def _diff_sharing(variant: str) -> SharingConfig:
+    if variant == "shared-persistent-temp":
+        # A short half-life, so decay decides promotions within one
+        # random sequence.
+        return SharingConfig(
+            policy=SharingPolicy.SHARED_PERSISTENT,
+            temperature=True,
+            temperature_half_life=20,
+        )
+    return sharing_config_for(variant)
+
+
+def _state(group) -> tuple:
+    """Everything a hit can change: residency and per-trace counters in
+    every cache, the temperatures and the sharing bookkeeping."""
+    caches = [
+        (
+            cache.name,
+            [
+                (t.trace_id, t.access_count, t.last_access, t.pinned)
+                for t in cache.traces()
+            ],
+        )
+        for cache in group._iter_caches()
+    ]
+    tracker = getattr(group, "_tracker", None)
+    shared = getattr(group, "shared", None)
+    return (
+        group.resident_copies(),
+        caches,
+        dict(tracker._state) if tracker is not None else None,
+        getattr(group, "_attachments", None),
+        getattr(group, "_pin_claims", None),
+        None
+        if shared is None
+        else (shared._attachments, shared.hits_by_process, shared.attach_reuses),
+    )
+
+
+def _apply(group, op, time):
+    """Run one non-access operation the way the replay engines do."""
+    kind, process, gid, module, _count, _advance = op
+    if kind == "insert":
+        if group.lookup(process, gid) is not None:
+            return "resident"  # engines only (re)insert missing traces
+        outcome = group.insert(
+            process, gid, DIFF_SIZES[gid % len(DIFF_SIZES)], module, time
+        )
+        return outcome.effects, outcome.deduped
+    if kind == "unmap":
+        return group.unmap_module(process, module, time)
+    if kind == "pin":
+        return group.pin(process, gid)
+    return group.unpin(process, gid)
+
+
+def _reference_access(group, process, gid, time, count, module):
+    """The reference simulator's access: lookup, then on_hit."""
+    if group.lookup(process, gid) is None:
+        return None
+    outcome = group.on_hit(process, gid, time, count, module)
+    return outcome.cache, outcome.effects
+
+
+def _one_call_access(group, process, gid, time, count, module):
+    served = group.hit(process, gid, time, count, module)
+    if served is None:
+        return None
+    cache, effects = served
+    return cache, list(effects)
+
+
+def _guarded(call, *args):
+    """A starved, pin-blocked cache legitimately raises CacheFullError;
+    both paths must agree on that too."""
+    try:
+        return call(*args)
+    except CacheFullError:
+        return "cache-full"
+
+
+if HAVE_HYPOTHESIS:
+
+    class TestOneCallHit:
+        """``hit`` must be exactly ``lookup`` + ``on_hit``: same returns,
+        same state, on random operation sequences over every group."""
+
+        @pytest.mark.parametrize(
+            "mode", list(PromotionMode), ids=lambda mode: mode.value
+        )
+        @pytest.mark.parametrize("variant", POLICY_VARIANTS)
+        @settings(max_examples=40, deadline=None)
+        @given(
+            ops=st.lists(
+                st.tuples(
+                    st.sampled_from(
+                        ["insert", "insert", "access", "access", "access",
+                         "unmap", "pin", "unpin"]
+                    ),
+                    st.integers(min_value=0, max_value=len(DIFF_CAPS) - 1),
+                    st.integers(min_value=0, max_value=DIFF_GIDS - 1),
+                    st.integers(min_value=0, max_value=2),  # module
+                    st.integers(min_value=1, max_value=3),  # hit count
+                    st.integers(min_value=0, max_value=12),  # time advance
+                ),
+                max_size=80,
+            )
+        )
+        def test_hit_matches_lookup_plus_on_hit(self, variant, mode, ops):
+            config = GenerationalConfig(
+                nursery_fraction=0.2,
+                probation_fraction=0.4,
+                persistent_fraction=0.4,
+                promotion_threshold=2,
+                promotion_mode=mode,
+            )
+            reference = make_group(DIFF_CAPS, config, _diff_sharing(variant))
+            candidate = make_group(DIFF_CAPS, config, _diff_sharing(variant))
+            time = 0
+            for op in ops:
+                kind, process, gid, module, count, advance = op
+                time += advance
+                if kind == "access":
+                    args = (process, gid, time, count, module)
+                    before = _state(candidate)
+                    expected = _guarded(_reference_access, reference, *args)
+                    got = _guarded(_one_call_access, candidate, *args)
+                    assert got == expected, op
+                    if expected is None:
+                        # Not resident: nothing may change.
+                        assert _state(candidate) == before, op
+                else:
+                    expected = _guarded(_apply, reference, op, time)
+                    assert _guarded(_apply, candidate, op, time) == expected, op
+                assert _state(candidate) == _state(reference), op
+                if expected == "cache-full":
+                    return  # a failed placement ends the sequence
