@@ -5,25 +5,25 @@ benchmark, reused by every characterization metric and every cache
 configuration.  Logs are synthesized lazily and memoized per
 (benchmark, seed, scale).
 
-Both derived artifacts — the compiled (packed-column) log the replay
-fast path consumes and the summary statistics — are additionally
+Logs are synthesized straight into packed columns and kept only in
+that form.  Both derived artifacts — the compiled log that replay and
+characterization consume and the summary statistics — are additionally
 memoized on disk through the content-addressed store in
 :mod:`repro.fastpath.artifacts`, so a warm process (or a warm machine)
 never re-synthesizes a log it has seen before.  The object
-representation is reconstructed from the compiled artifact on demand
-(:meth:`~repro.fastpath.CompiledTraceLog` decompilation is lossless),
-keeping warm and cold runs byte-identical.
+representation is decompiled only on demand, for the experiments that
+walk record objects (headroom, reuse) and the object-path oracle;
+decompilation is lossless, keeping every path byte-identical.
 """
 
 from __future__ import annotations
 
-from repro.fastpath import CompiledTraceLog, compile_log
-from repro.fastpath.artifacts import ARTIFACT_TOTALS, get_cache
+from repro.fastpath import CompiledTraceLog
+from repro.fastpath.artifacts import cached_compiled, get_cache
 from repro.tracelog.records import TraceLog
 from repro.tracelog.stats import LogStatistics, summarize_log
 from repro.workloads.catalog import all_profiles, get_profile, profiles_for_suite
 from repro.workloads.profiles import WorkloadProfile
-from repro.workloads.synthesis import synthesize_log
 
 
 class WorkloadDataset:
@@ -76,46 +76,21 @@ class WorkloadDataset:
     def _scale(self, profile: WorkloadProfile) -> float:
         return profile.default_scale * self.scale_multiplier
 
-    def _synthesize(self, profile: WorkloadProfile) -> TraceLog:
-        return synthesize_log(profile, seed=self.seed, scale=self._scale(profile))
-
     def compiled(self, name: str) -> CompiledTraceLog:
         """The (memoized, artifact-backed) compiled log for one
-        benchmark — what replay-heavy experiments feed the simulator."""
+        benchmark — what replay and characterization consume."""
         if name not in self._compiled:
             profile = self.profile(name)
-            store = get_cache()
-            if store is not None:
-                compiled, log = store.compiled_log(
-                    profile,
-                    self.seed,
-                    self._scale(profile),
-                    lambda: self._synthesize(profile),
-                )
-                if log is not None:
-                    self._logs[name] = log
-            else:
-                ARTIFACT_TOTALS["logs_synthesized"] += 1
-                compiled = compile_log(self.log(name))
-            self._compiled[name] = compiled
+            self._compiled[name] = cached_compiled(
+                profile, self.seed, self._scale(profile)
+            )
         return self._compiled[name]
 
     def log(self, name: str) -> TraceLog:
-        """The (memoized) object-form log for one benchmark.
-
-        With a warm artifact cache this decompiles the stored packed
-        log (lossless) instead of re-synthesizing.
-        """
+        """The (memoized) object-form log for one benchmark, decompiled
+        from :meth:`compiled` on first use."""
         if name not in self._logs:
-            if get_cache() is not None:
-                compiled = self.compiled(name)
-                # A compiled-artifact miss synthesizes and stashes the
-                # object log; only a hit leaves it to reconstruct.
-                if name not in self._logs:
-                    self._logs[name] = compiled.decompile()
-            else:
-                profile = self.profile(name)
-                self._logs[name] = self._synthesize(profile)
+            self._logs[name] = self.compiled(name).decompile()
         return self._logs[name]
 
     def stats(self, name: str) -> LogStatistics:
@@ -129,10 +104,10 @@ class WorkloadDataset:
                     profile,
                     self.seed,
                     self._scale(profile),
-                    lambda: summarize_log(self.log(name)),
+                    lambda: summarize_log(self.compiled(name)),
                 )
             else:
-                self._stats[name] = summarize_log(self.log(name))
+                self._stats[name] = summarize_log(self.compiled(name))
         return self._stats[name]
 
     def scale_note(self) -> str:

@@ -28,7 +28,7 @@ def run(
     per_suite: dict[str, list[tuple[float, ...]]] = {"spec": [], "interactive": []}
     for name in dataset.names:
         suite = dataset.profile(name).suite
-        histogram = lifetime_histogram(dataset.log(name))
+        histogram = lifetime_histogram(dataset.compiled(name))
         per_suite[suite].append(histogram.fractions)
         result.add_row(
             Benchmark=name,

@@ -1,7 +1,8 @@
 """Run-everything orchestration used by the CLI.
 
-Shares one dataset and one heavy evaluation pass across all the
-figures that need it, then renders each result table.
+Shares one dataset (so no log is loaded or synthesized twice) and one
+heavy evaluation pass across all the experiments that need them, then
+renders each result table.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ def run_all(
             results.append(
                 sweep.run(
                     benchmark=bench,
+                    dataset=dataset,
                     seed=seed,
                     scale_multiplier=scale_multiplier,
                 )
@@ -142,6 +144,7 @@ def run_all(
             results.append(
                 capacity.run(
                     benchmark=bench,
+                    dataset=dataset,
                     seed=seed,
                     scale_multiplier=scale_multiplier,
                 )

@@ -4,8 +4,10 @@ Three pieces, built for the ROADMAP goal of replaying the same verbose
 trace log against many cache configurations at production scale:
 
 * :mod:`repro.fastpath.compiled` — the packed struct-of-arrays trace
-  log (:class:`CompiledTraceLog`), built once from the record objects
-  and losslessly decompilable;
+  log (:class:`CompiledTraceLog`), the only form the experiment path
+  builds (the synthesizer emits it through :func:`pack_columns`), with
+  the column validator and lossless conversion to and from record
+  objects;
 * :mod:`repro.fastpath.replay` — the batched replay loop
   :func:`replay_compiled`, selected automatically by
   :class:`repro.cachesim.simulator.CacheSimulator` when the manager is
@@ -32,6 +34,7 @@ from repro.fastpath.compiled import (
     compile_log,
     ensure_compiled,
     log_columns,
+    pack_columns,
 )
 from repro.fastpath.replay import (
     FASTPATH_TOTALS,
@@ -58,5 +61,6 @@ __all__ = [
     "ensure_compiled",
     "fastpath_enabled",
     "object_path",
+    "pack_columns",
     "replay_compiled",
 ]

@@ -41,7 +41,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Callable
 
-from repro.fastpath.compiled import CompiledTraceLog
+from repro.fastpath.compiled import COLUMN_NAMES, CompiledTraceLog
 from repro.tracelog.records import TraceLog
 from repro.tracelog.stats import LogStatistics
 
@@ -62,9 +62,6 @@ ARTIFACT_TOTALS = {
     "stores": 0,
     "logs_synthesized": 0,
 }
-
-#: The columns of the container payload, in serialization order.
-_COLUMNS = ("op", "time", "trace_id", "size", "module", "repeat")
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +119,9 @@ def dump_compiled_container(compiled: CompiledTraceLog) -> bytes:
     — it is a machine-local cache format optimized for load speed, and
     the header records both so a foreign file reads as a miss.
     """
-    payload = b"".join(getattr(compiled, column).tobytes() for column in _COLUMNS)
+    payload = b"".join(
+        getattr(compiled, column).tobytes() for column in COLUMN_NAMES
+    )
     header = json.dumps(
         {
             "benchmark": compiled.benchmark,
@@ -166,11 +165,11 @@ def load_compiled_container(blob: bytes) -> CompiledTraceLog | None:
     payload = memoryview(blob)[8 + header_len :]
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         return None
-    widths = [getattr(compiled, column).itemsize * n for column in _COLUMNS]
+    widths = [getattr(compiled, column).itemsize * n for column in COLUMN_NAMES]
     if len(payload) != sum(widths):
         return None
     offset = 0
-    for column, width in zip(_COLUMNS, widths):
+    for column, width in zip(COLUMN_NAMES, widths):
         getattr(compiled, column).frombytes(payload[offset : offset + width])
         offset += width
     return compiled
@@ -226,30 +225,25 @@ class ArtifactCache:
         profile,
         seed: int,
         scale: float,
-        synthesize: Callable[[], TraceLog],
-    ) -> tuple[CompiledTraceLog, TraceLog | None]:
+        synthesize: Callable[[], CompiledTraceLog],
+    ) -> CompiledTraceLog:
         """The compiled log for (profile, seed, scale).
 
-        On a miss, *synthesize* produces the object log, which is
-        compiled, stored, and returned alongside (so a caller that
-        also wants the object form need not decompile).  On a hit the
-        second element is None.
+        On a miss, *synthesize* produces the packed log, which is
+        stored and returned.
         """
-        from repro.fastpath.compiled import compile_log
-
         path = self._path(artifact_key("compiled-log", profile, seed, scale), ".rac")
         blob = self._read(path)
         if blob is not None:
             compiled = load_compiled_container(blob)
             if compiled is not None:
                 ARTIFACT_TOTALS["hits"] += 1
-                return compiled, None
+                return compiled
         ARTIFACT_TOTALS["misses"] += 1
         ARTIFACT_TOTALS["logs_synthesized"] += 1
-        log = synthesize()
-        compiled = compile_log(log)
+        compiled = synthesize()
         self._write(path, dump_compiled_container(compiled))
-        return compiled, log
+        return compiled
 
     # -- log statistics ------------------------------------------------
 
@@ -316,24 +310,23 @@ def configure(root: str | Path | None) -> ArtifactCache | None:
     return _cache
 
 
-def cached_log(profile, seed: int, scale: float) -> TraceLog:
-    """Synthesize (profile, seed, scale) through the artifact store.
+def cached_compiled(profile, seed: int, scale: float) -> CompiledTraceLog:
+    """Synthesize (profile, seed, scale) through the artifact store,
+    packed — what every replay and characterization caller consumes.
+    With caching disabled this synthesizes directly."""
+    from repro.workloads.synthesis import synthesize_compiled
 
-    A warm store reconstructs the object log from the compiled
-    artifact (lossless) instead of re-running the synthesizer — used
-    by callers outside :class:`~repro.experiments.dataset.WorkloadDataset`
-    (e.g. shared-cache workload composition) that need record objects.
-    """
-    from repro.workloads.synthesis import synthesize_log
+    def synthesize() -> CompiledTraceLog:
+        return synthesize_compiled(profile, seed=seed, scale=scale)
 
     store = get_cache()
     if store is None:
         ARTIFACT_TOTALS["logs_synthesized"] += 1
-        return synthesize_log(profile, seed=seed, scale=scale)
-    compiled, log = store.compiled_log(
-        profile,
-        seed,
-        scale,
-        lambda: synthesize_log(profile, seed=seed, scale=scale),
-    )
-    return log if log is not None else compiled.decompile()
+        return synthesize()
+    return store.compiled_log(profile, seed, scale, synthesize)
+
+
+def cached_log(profile, seed: int, scale: float) -> TraceLog:
+    """:func:`cached_compiled` decompiled to record objects — for
+    callers that edit records (shared-cache workload composition)."""
+    return cached_compiled(profile, seed, scale).decompile()

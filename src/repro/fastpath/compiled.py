@@ -24,11 +24,13 @@ repeat   ``q``      compressed consecutive-entry count (access
                     records, else 0)
 ======== ========== ==================================================
 
-The compilation is a one-time pass over the record objects and is
-**lossless**: :meth:`CompiledTraceLog.decompile` reproduces a
-``TraceLog`` whose records compare equal to the source, and the RTL2
-binary serialization of both forms is byte-identical (see
-:mod:`repro.tracelog.binary`).
+Logs are born packed: the synthesizer renders its sorted rows straight
+into columns through :func:`pack_columns`, and the RTL2 decoder and the
+artifact store fill columns directly.  :func:`compile_log` packs an
+object log in one pass, and the conversion is **lossless** both ways:
+:meth:`CompiledTraceLog.decompile` reproduces a ``TraceLog`` whose
+records compare equal to the source, and the RTL2 binary serialization
+of both forms is byte-identical (see :mod:`repro.tracelog.binary`).
 
 Everything that reads or writes the columns directly lives in this
 package (plus the sanctioned RTL2 codec); other layers use the public
@@ -39,9 +41,9 @@ row iterators.  The ``fastpath-api`` cachelint rule enforces this.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
-from repro.errors import LogFormatError
+from repro.errors import LogFormatError, LogOrderError
 from repro.tracelog.records import (
     EndOfLog,
     LogRecord,
@@ -65,14 +67,17 @@ OP_END = 6
 #: One row of a compiled log: (op, time, trace_id, size, module, repeat).
 Row = tuple[int, int, int, int, int, int]
 
+#: The column attributes, in schema (and row) order.
+COLUMN_NAMES = ("op", "time", "trace_id", "size", "module", "repeat")
+
 
 class CompiledTraceLog:
     """A trace log packed into parallel columns.
 
-    Build one with :func:`compile_log` (or
-    :meth:`repro.tracelog.records.TraceLog.compile`), or row by row via
-    :meth:`append_row` when decoding a serialized log directly into
-    packed form.
+    Build one with :func:`pack_columns` from whole columns, or with
+    :func:`compile_log` (or :meth:`repro.tracelog.records.TraceLog.compile`)
+    from record objects.  The RTL2 and artifact decoders fill the
+    columns directly.
 
     The summary properties mirror :class:`TraceLog`'s so replay and
     reporting code can accept either representation.
@@ -105,27 +110,6 @@ class CompiledTraceLog:
         self.size = array("q")
         self.module = array("q")
         self.repeat = array("q")
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    def append_row(
-        self,
-        op: int,
-        time: int,
-        trace_id: int = 0,
-        size: int = 0,
-        module: int = 0,
-        repeat: int = 0,
-    ) -> None:
-        """Append one packed record."""
-        self.op.append(op)
-        self.time.append(time)
-        self.trace_id.append(trace_id)
-        self.size.append(size)
-        self.module.append(module)
-        self.repeat.append(repeat)
 
     # ------------------------------------------------------------------
     # TraceLog-compatible summary API
@@ -179,6 +163,47 @@ class CompiledTraceLog:
         sanitized replays, without materializing a full list)."""
         for op, time, trace_id, size, module, repeat in self.rows():
             yield _REBUILD[op](time, trace_id, size, module, repeat)
+
+    def validate(self) -> None:
+        """Full structural validation (the one implementation; an
+        object log's :meth:`~repro.tracelog.records.TraceLog.validate`
+        compiles and lands here).
+
+        Checks time ordering, that accesses/pins reference created
+        traces, and that repeats and sizes are positive.
+
+        Raises:
+            LogOrderError: on the first offending record.
+        """
+        last_time = 0
+        created: set[int] = set()
+        for op, time, trace_id, size, repeat in zip(
+            self.op, self.time, self.trace_id, self.size, self.repeat
+        ):
+            if time < last_time:
+                raise LogOrderError(
+                    f"time went backwards: {time} after {last_time}"
+                )
+            last_time = time
+            if op == OP_ACCESS:
+                if repeat <= 0:
+                    raise LogOrderError(
+                        f"access to trace {trace_id} with repeat {repeat}"
+                    )
+                if trace_id not in created:
+                    raise LogOrderError(
+                        f"access to never-created trace {trace_id}"
+                    )
+            elif op == OP_CREATE:
+                if size <= 0:
+                    raise LogOrderError(
+                        f"trace {trace_id} created with size {size}"
+                    )
+                created.add(trace_id)
+            elif (op == OP_PIN or op == OP_UNPIN) and trace_id not in created:
+                raise LogOrderError(
+                    f"pin/unpin of never-created trace {trace_id}"
+                )
 
     def decompile(self) -> TraceLog:
         """Reconstruct the object representation (lossless)."""
@@ -248,32 +273,85 @@ def compile_log(log: TraceLog) -> CompiledTraceLog:
         duration_seconds=log.duration_seconds,
         code_footprint=log.code_footprint,
     )
-    append = compiled.append_row
+    op = compiled.op.append
+    time = compiled.time.append
+    trace_id = compiled.trace_id.append
+    size = compiled.size.append
+    module = compiled.module.append
+    repeat = compiled.repeat.append
+    # Column appends inline (no per-row call): object logs compile on
+    # every TraceLog.validate, so this pass sits on composition paths.
     for record in log.records:
         kind = type(record)
         if kind is TraceAccess:
-            append(OP_ACCESS, record.time, record.trace_id, 0, 0, record.repeat)
+            op(OP_ACCESS)
+            trace_id(record.trace_id)
+            size(0)
+            module(0)
+            repeat(record.repeat)
         elif kind is TraceCreate:
-            append(
-                OP_CREATE,
-                record.time,
-                record.trace_id,
-                record.size,
-                record.module_id,
-                0,
-            )
+            op(OP_CREATE)
+            trace_id(record.trace_id)
+            size(record.size)
+            module(record.module_id)
+            repeat(0)
         elif kind is ModuleUnmap:
-            append(OP_UNMAP, record.time, 0, 0, record.module_id, 0)
-        elif kind is TracePin:
-            append(OP_PIN, record.time, record.trace_id, 0, 0, 0)
-        elif kind is TraceUnpin:
-            append(OP_UNPIN, record.time, record.trace_id, 0, 0, 0)
+            op(OP_UNMAP)
+            trace_id(0)
+            size(0)
+            module(record.module_id)
+            repeat(0)
+        elif kind is TracePin or kind is TraceUnpin:
+            op(OP_PIN if kind is TracePin else OP_UNPIN)
+            trace_id(record.trace_id)
+            size(0)
+            module(0)
+            repeat(0)
         elif kind is EndOfLog:
-            append(OP_END, record.time, 0, 0, 0, 0)
+            op(OP_END)
+            trace_id(0)
+            size(0)
+            module(0)
+            repeat(0)
         else:
             raise LogFormatError(
                 f"cannot compile record type {type(record).__name__}"
             )
+        time(record.time)
+    return compiled
+
+
+def pack_columns(
+    benchmark: str,
+    duration_seconds: float,
+    code_footprint: int,
+    columns: Sequence[Iterable[int]],
+) -> CompiledTraceLog:
+    """Build a compiled log from whole columns.
+
+    *columns* holds six equal-length integer sequences in schema order
+    ``(op, time, trace_id, size, module, repeat)`` — the shape
+    :func:`log_columns` returns.  This is how a producer outside this
+    package (the synthesizer) emits packed logs without touching the
+    column writers.
+
+    Raises:
+        LogFormatError: when the columns are not six of equal length.
+    """
+    if len(columns) != len(COLUMN_NAMES):
+        raise LogFormatError(
+            f"expected {len(COLUMN_NAMES)} columns, got {len(columns)}"
+        )
+    compiled = CompiledTraceLog(
+        benchmark=benchmark,
+        duration_seconds=duration_seconds,
+        code_footprint=code_footprint,
+    )
+    for name, values in zip(COLUMN_NAMES, columns):
+        getattr(compiled, name).extend(values)
+    lengths = {len(getattr(compiled, name)) for name in COLUMN_NAMES}
+    if len(lengths) != 1:
+        raise LogFormatError(f"column lengths differ: {sorted(lengths)}")
     return compiled
 
 

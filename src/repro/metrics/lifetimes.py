@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
-from repro.tracelog.records import TraceAccess, TraceCreate, TraceLog
+from repro.fastpath import OP_ACCESS, OP_CREATE, CompiledTraceLog, log_columns
+from repro.tracelog.records import TraceLog
 
 #: Figure 6's bucket upper bounds (fractions of execution time).
 LIFETIME_BUCKETS: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -30,25 +31,27 @@ BUCKET_LABELS: tuple[str, ...] = (
 )
 
 
-def trace_lifetimes(log: TraceLog) -> dict[int, float]:
+def trace_lifetimes(log: TraceLog | CompiledTraceLog) -> dict[int, float]:
     """Compute Equation 2 for every trace in *log*.
 
     First execution is the first access (or the creation, for traces
     never re-entered); last execution is the final access.  Returns a
-    mapping trace_id -> lifetime fraction in [0, 1].
+    mapping trace_id -> lifetime fraction in [0, 1].  Reads the packed
+    columns (a :class:`TraceLog` is compiled first).
     """
     total = log.end_time
     if total <= 0:
         raise ExperimentError("log has no execution time")
+    op, times, trace_ids, *_ = log_columns(log)
     first: dict[int, int] = {}
     last: dict[int, int] = {}
-    for record in log.records:
-        if isinstance(record, TraceCreate):
-            first.setdefault(record.trace_id, record.time)
-            last.setdefault(record.trace_id, record.time)
-        elif isinstance(record, TraceAccess):
-            first.setdefault(record.trace_id, record.time)
-            last[record.trace_id] = record.time
+    for code, time, trace_id in zip(op, times, trace_ids):
+        if code == OP_ACCESS:
+            first.setdefault(trace_id, time)
+            last[trace_id] = time
+        elif code == OP_CREATE:
+            first.setdefault(trace_id, time)
+            last.setdefault(trace_id, time)
     return {
         trace_id: (last[trace_id] - first[trace_id]) / total
         for trace_id in first
@@ -99,7 +102,7 @@ def bucket_of(lifetime: float) -> int:
     return len(LIFETIME_BUCKETS) - 1
 
 
-def lifetime_histogram(log: TraceLog) -> LifetimeHistogram:
+def lifetime_histogram(log: TraceLog | CompiledTraceLog) -> LifetimeHistogram:
     """Build the Figure 6 histogram for one log."""
     lifetimes = trace_lifetimes(log)
     counts = [0] * len(LIFETIME_BUCKETS)

@@ -32,6 +32,7 @@ from repro.core.config import FIGURE9_CONFIGS, BEST_CONFIG, GenerationalConfig, 
 from repro.core.generational import GenerationalCacheManager
 from repro.core.unified import UnifiedCacheManager
 from repro.errors import ConfigError
+from repro.fastpath.artifacts import cached_compiled
 from repro.rand import substream
 from repro.scenarios.space import (
     MUTATORS,
@@ -40,7 +41,7 @@ from repro.scenarios.space import (
     clamp_values,
     parameter_vector,
 )
-from repro.scenarios.targets import SCENARIO_TOTALS, _synthesize_measured
+from repro.scenarios.targets import SCENARIO_TOTALS
 from repro.tracelog.stats import summarize_log
 from repro.workloads.catalog import get_profile
 from repro.workloads.profiles import WorkloadProfile
@@ -171,8 +172,8 @@ def regret_of(
     victim_factory = _resolve_contender(victim)
     reference_factory = _resolve_contender(reference)
     SCENARIO_TOTALS["evaluations"] += 1
-    compiled, log = _synthesize_measured(profile, seed, scale)
-    total_bytes = summarize_log(log).total_trace_bytes
+    compiled = cached_compiled(profile, seed, scale)
+    total_bytes = summarize_log(compiled).total_trace_bytes
     capacity = max(4096, int(total_bytes * fraction))
     victim_miss = simulate_log(compiled, victim_factory(capacity)).miss_rate
     reference_miss = simulate_log(compiled, reference_factory(capacity)).miss_rate

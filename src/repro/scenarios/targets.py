@@ -29,13 +29,11 @@ from dataclasses import dataclass
 from repro.cachesim.simulator import simulate_log
 from repro.core.unified import UnifiedCacheManager
 from repro.errors import ConfigError
-from repro.fastpath.artifacts import get_cache
-from repro.fastpath import CompiledTraceLog, compile_log
+from repro.fastpath.artifacts import cached_compiled, get_cache
 from repro.metrics.lifetimes import BUCKET_LABELS, lifetime_histogram
 from repro.tracelog.stats import summarize_log
 from repro.units import KB
 from repro.workloads.profiles import WorkloadProfile
-from repro.workloads.synthesis import synthesize_log
 
 #: Capacity probe points, as fractions of the workload's own unbounded
 #: cache size.  The low end is where policies differ most (Figure 9's
@@ -195,24 +193,6 @@ class ScenarioTarget:
         )
 
 
-def _synthesize_measured(
-    profile: WorkloadProfile, seed: int, scale: float
-) -> tuple[CompiledTraceLog, "object"]:
-    """The compiled log and its object form, through the artifact
-    cache when one is configured."""
-    store = get_cache()
-    if store is None:
-        log = synthesize_log(profile, seed=seed, scale=scale)
-        return compile_log(log), log
-    compiled, log = store.compiled_log(
-        profile,
-        seed,
-        scale,
-        lambda: synthesize_log(profile, seed=seed, scale=scale),
-    )
-    return compiled, (log if log is not None else compiled.decompile())
-
-
 def measure_profile(
     profile: WorkloadProfile,
     seed: int,
@@ -227,15 +207,15 @@ def measure_profile(
                 f"capacity fraction {fraction} outside (0, 1]"
             )
     SCENARIO_TOTALS["evaluations"] += 1
-    compiled, log = _synthesize_measured(profile, seed, scale)
+    compiled = cached_compiled(profile, seed, scale)
     store = get_cache()
     if store is None:
-        stats = summarize_log(log)
+        stats = summarize_log(compiled)
     else:
         stats = store.log_stats(
-            profile, seed, scale, lambda: summarize_log(log)
+            profile, seed, scale, lambda: summarize_log(compiled)
         )
-    histogram = lifetime_histogram(log)
+    histogram = lifetime_histogram(compiled)
     curve = []
     for fraction in fractions:
         capacity = max(4096, int(stats.total_trace_bytes * fraction))

@@ -169,34 +169,12 @@ class TraceLog:
         """Full structural validation.
 
         Checks time ordering, that accesses/pins reference created
-        traces, and that repeats and sizes are positive.
+        traces, and that repeats and sizes are positive.  The checks
+        run on the packed columns: see
+        :meth:`repro.fastpath.CompiledTraceLog.validate`.
+
+        Raises:
+            LogOrderError: on the first offending record.
+            LogFormatError: on a record type outside the LogRecord union.
         """
-        last_time = 0
-        created: set[int] = set()
-        for record in self.records:
-            if record.time < last_time:
-                raise LogOrderError(
-                    f"time went backwards: {record.time} after {last_time}"
-                )
-            last_time = record.time
-            if isinstance(record, TraceCreate):
-                if record.size <= 0:
-                    raise LogOrderError(
-                        f"trace {record.trace_id} created with size {record.size}"
-                    )
-                created.add(record.trace_id)
-            elif isinstance(record, TraceAccess):
-                if record.repeat <= 0:
-                    raise LogOrderError(
-                        f"access to trace {record.trace_id} with repeat "
-                        f"{record.repeat}"
-                    )
-                if record.trace_id not in created:
-                    raise LogOrderError(
-                        f"access to never-created trace {record.trace_id}"
-                    )
-            elif isinstance(record, (TracePin, TraceUnpin)):
-                if record.trace_id not in created:
-                    raise LogOrderError(
-                        f"pin/unpin of never-created trace {record.trace_id}"
-                    )
+        self.compile().validate()

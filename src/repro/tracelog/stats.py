@@ -9,13 +9,12 @@ unmapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.tracelog.records import (
-    ModuleUnmap,
-    TraceAccess,
-    TraceCreate,
-    TraceLog,
-)
+from repro.tracelog.records import TraceLog
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fastpath import CompiledTraceLog
 
 
 @dataclass(frozen=True)
@@ -76,33 +75,37 @@ def _median(values: list[int]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def summarize_log(log: TraceLog) -> LogStatistics:
-    """Compute :class:`LogStatistics` in one pass over *log*."""
+def summarize_log(log: TraceLog | CompiledTraceLog) -> LogStatistics:
+    """Compute :class:`LogStatistics` in one pass over *log*'s packed
+    columns (a :class:`TraceLog` is compiled first)."""
+    # Imported lazily: repro.fastpath packs this package's record types,
+    # so a module-level import would cycle.
+    from repro.fastpath import OP_CREATE, OP_UNMAP, log_columns
+
+    op, _time, _trace_id, size, module, repeat = log_columns(log)
     sizes: list[int] = []
-    n_accesses = 0
     n_unmaps = 0
     unmapped_bytes = 0
     unmapped_traces = 0
-    # Traces currently attributable to each module (created, and their
-    # module not yet unmapped since creation).
-    live_by_module: dict[int, list[TraceCreate]] = {}
-    for record in log.records:
-        if isinstance(record, TraceCreate):
-            sizes.append(record.size)
-            live_by_module.setdefault(record.module_id, []).append(record)
-        elif isinstance(record, TraceAccess):
-            n_accesses += record.repeat
-        elif isinstance(record, ModuleUnmap):
+    # Sizes of the traces currently attributable to each module
+    # (created, and their module not yet unmapped since creation).
+    live_by_module: dict[int, list[int]] = {}
+    for code, trace_size, module_id in zip(op, size, module):
+        if code == OP_CREATE:
+            sizes.append(trace_size)
+            live_by_module.setdefault(module_id, []).append(trace_size)
+        elif code == OP_UNMAP:
             n_unmaps += 1
-            victims = live_by_module.pop(record.module_id, [])
+            victims = live_by_module.pop(module_id, [])
             unmapped_traces += len(victims)
-            unmapped_bytes += sum(v.size for v in victims)
+            unmapped_bytes += sum(victims)
     return LogStatistics(
         benchmark=log.benchmark,
         duration_seconds=log.duration_seconds,
         n_traces=len(sizes),
         total_trace_bytes=sum(sizes),
-        n_accesses=n_accesses,
+        # Only access rows carry a repeat count.
+        n_accesses=sum(repeat),
         n_unmaps=n_unmaps,
         unmapped_trace_bytes=unmapped_bytes,
         unmapped_n_traces=unmapped_traces,

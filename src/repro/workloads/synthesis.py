@@ -4,8 +4,10 @@ This is the fast path used by the evaluation harness: instead of
 walking a synthetic CFG block by block (see
 :mod:`repro.workloads.generator` for that full pipeline), it plans the
 trace population and its access timeline analytically and emits the
-verbose log directly.  The resulting log matches the profile's
-calibrated aggregates:
+verbose log directly — rendered straight into packed columns
+(:func:`synthesize_compiled`), with record objects only for callers
+that ask for them (:func:`synthesize_log`).  The resulting log matches
+the profile's calibrated aggregates:
 
 * total trace bytes == the profile's (scaled) unbounded cache size;
 * insertion rate == size / duration by construction;
@@ -27,19 +29,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.errors import WorkloadError
-from repro.rand import Random, RandomStreams
-from repro.tracelog.records import (
-    EndOfLog,
-    LogRecord,
-    ModuleUnmap,
-    TraceAccess,
-    TraceCreate,
-    TraceLog,
-    TracePin,
-    TraceUnpin,
+from repro.fastpath import (
+    OP_ACCESS,
+    OP_CREATE,
+    OP_END,
+    OP_PIN,
+    OP_UNMAP,
+    OP_UNPIN,
+    CompiledTraceLog,
+    pack_columns,
 )
+from repro.rand import Random, RandomStreams
+from repro.tracelog.records import TraceLog
 from repro.workloads.profiles import WorkloadProfile
 
 #: Virtual instructions per second of recorded wall-clock time.
@@ -55,12 +59,14 @@ DLL_MODULE_BASE = 100
 #: a 45% persistent cache of a half-footprint budget.
 HOT_LONG_FRACTION = 0.5
 
-#: Sort ranks making same-timestamp records unambiguous.
+#: Sort ranks making same-timestamp records unambiguous; a row's sort
+#: key is ``time * _RANKS + rank``.
 _RANK_CREATE = 0
 _RANK_PIN = 1
 _RANK_ACCESS = 2
 _RANK_UNPIN = 3
 _RANK_UNMAP = 4
+_RANKS = 5
 
 
 @dataclass
@@ -126,50 +132,51 @@ class _LogPlan:
         end = min(self.end_time, start + self.phase_len)
         return start, max(start + 1, end)
 
-    def render(self) -> TraceLog:
-        entries: list[tuple[int, int, int, LogRecord]] = []
-        serial = 0
+    def render(self) -> CompiledTraceLog:
+        """Render the time-sorted log straight into packed columns.
 
-        def push(time: int, rank: int, record: LogRecord) -> None:
-            nonlocal serial
-            entries.append((time, rank, serial, record))
-            serial += 1
-
+        Each row is ``(key, op, time, trace_id, size, module, repeat)``
+        with ``key = time * _RANKS + rank``.  Rows are pushed trace by
+        trace, and the sort is stable, so rows with equal keys keep
+        their push order.
+        """
+        rows: list[tuple[int, int, int, int, int, int, int]] = []
+        push = rows.append
+        extend = rows.extend
         for planned in self.traces:
-            push(
-                planned.t_create,
-                _RANK_CREATE,
-                TraceCreate(
-                    time=planned.t_create,
-                    trace_id=planned.trace_id,
-                    size=planned.size,
-                    module_id=planned.module_id,
-                ),
-            )
-            for time, repeat in planned.accesses:
-                push(
-                    time,
-                    _RANK_ACCESS,
-                    TraceAccess(time=time, trace_id=planned.trace_id, repeat=repeat),
-                )
+            trace_id = planned.trace_id
+            time = planned.t_create
+            push((
+                time * _RANKS + _RANK_CREATE, OP_CREATE, time, trace_id,
+                planned.size, planned.module_id, 0,
+            ))
+            extend([
+                (time * _RANKS + _RANK_ACCESS, OP_ACCESS, time, trace_id,
+                 0, 0, repeat)
+                for time, repeat in planned.accesses
+            ])
         for time, module_id in self.unmaps:
-            push(time, _RANK_UNMAP, ModuleUnmap(time=time, module_id=module_id))
+            push((
+                time * _RANKS + _RANK_UNMAP, OP_UNMAP, time, 0, 0, module_id, 0,
+            ))
         for t_pin, t_unpin, trace_id in self.pins:
-            push(t_pin, _RANK_PIN, TracePin(time=t_pin, trace_id=trace_id))
-            push(t_unpin, _RANK_UNPIN, TraceUnpin(time=t_unpin, trace_id=trace_id))
-
-        entries.sort(key=lambda item: (item[0], item[1], item[2]))
+            push((
+                t_pin * _RANKS + _RANK_PIN, OP_PIN, t_pin, trace_id, 0, 0, 0,
+            ))
+            push((
+                t_unpin * _RANKS + _RANK_UNPIN, OP_UNPIN, t_unpin, trace_id,
+                0, 0, 0,
+            ))
+        rows.sort(key=itemgetter(0))
+        # The end marker always goes last, so it joins after the sort.
+        push((0, OP_END, self.end_time, 0, 0, 0, 0))
+        _, *columns = zip(*rows)
         # The footprint scales with the trace bytes so Equation 1 stays
         # invariant under simulation scaling.
         footprint = max(1, int(self.total_bytes / self.profile.code_expansion))
-        log = TraceLog(
-            benchmark=self.profile.name,
-            duration_seconds=self.profile.duration_seconds,
-            code_footprint=footprint,
+        return pack_columns(
+            self.profile.name, self.profile.duration_seconds, footprint, columns
         )
-        log.records = [record for _, _, _, record in entries]
-        log.records.append(EndOfLog(time=self.end_time))
-        return log
 
 
 def plan_workload(
@@ -180,7 +187,7 @@ def plan_workload(
     """Plan (but do not render) one benchmark's trace population.
 
     Exposed so tests and diagnostics can inspect per-trace categories
-    and timings; normal callers use :func:`synthesize_log`.
+    and timings; normal callers use :func:`synthesize_compiled`.
     """
     streams = RandomStreams(seed).fork(profile.name)
     total_bytes = profile.scaled_trace_bytes(scale)
@@ -222,12 +229,12 @@ def plan_workload(
     return plan
 
 
-def synthesize_log(
+def synthesize_compiled(
     profile: WorkloadProfile,
     seed: int = 0,
     scale: float | None = None,
-) -> TraceLog:
-    """Synthesize the verbose trace log for one benchmark.
+) -> CompiledTraceLog:
+    """Synthesize the verbose trace log for one benchmark, packed.
 
     Args:
         profile: The calibrated benchmark profile.
@@ -237,12 +244,21 @@ def synthesize_log(
             ``default_scale``.
 
     Returns:
-        A validated, time-ordered :class:`TraceLog`.
+        A validated, time-ordered :class:`~repro.fastpath.CompiledTraceLog`.
     """
-    plan = plan_workload(profile, seed=seed, scale=scale)
-    log = plan.render()
-    log.validate()
-    return log
+    compiled = plan_workload(profile, seed=seed, scale=scale).render()
+    compiled.validate()
+    return compiled
+
+
+def synthesize_log(
+    profile: WorkloadProfile,
+    seed: int = 0,
+    scale: float | None = None,
+) -> TraceLog:
+    """:func:`synthesize_compiled` as record objects, for callers that
+    read or edit records (text I/O, shared-library composition)."""
+    return synthesize_compiled(profile, seed=seed, scale=scale).decompile()
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,10 @@ drives it through the hardened ServiceClient.
 
 from __future__ import annotations
 
+import functools
 import json
+import multiprocessing
+import time
 import urllib.error
 import urllib.request
 
@@ -28,6 +31,25 @@ SPEC = JobSpec(kind="experiment", experiment_id="figure-1")
 
 def _spec(n: int) -> JobSpec:
     return JobSpec(kind="experiment", experiment_id="figure-1", seed=n)
+
+
+def gated_worker(gate, slot: int, tasks, events) -> None:
+    """Holds every job it takes until *gate* is set, so a running job
+    stays running for as long as the test needs."""
+    while True:
+        item = tasks.get()
+        if item is None:
+            return
+        jid, spec = item
+        gate.wait()
+        events.put(("done", jid, {"echo": spec["experiment_id"]}))
+
+
+def _wait_running(client: ServiceClient, job_id: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while client.status(job_id)["state"] != "running":
+        assert time.monotonic() < deadline, "job never started running"
+        time.sleep(0.01)
 
 
 @pytest.fixture
@@ -142,46 +164,61 @@ class TestEndpoints:
 
 class TestOverload:
     def test_shed_is_429_with_retry_after(self, tmp_path):
+        # Watermark 1: one tenant owns the whole in-flight budget, and a
+        # single waiting job fills the queue.  The gated worker holds
+        # the first job, so each state below is exact, not a race
+        # against dispatch.
+        gate = multiprocessing.Event()
         cluster = ClusterScheduler(
             shards=1,
             admission=AdmissionController(watermark=1),
-            worker_target=slow_worker,
+            worker_target=functools.partial(gated_worker, gate),
         )
         cluster.start()
         server = make_cluster_server(cluster, port=0)
         host, port = server.address
+        url = f"http://{host}:{port}"
         try:
-            with ServiceClient(f"http://{host}:{port}", tenant="t") as client:
-                sheds = []
-                for n in range(12):
-                    try:
+            with ServiceClient(url, tenant="t") as client, ServiceClient(
+                url, tenant="u"
+            ) as other:
+                held = client.submit(_spec(0))
+                _wait_running(client, held["job_id"])
+                # Queue empty, tenant t at its share: the fair-share gate.
+                for n in range(1, 4):
+                    with pytest.raises(OverloadedError) as shed:
                         client.submit(_spec(n))
-                    except OverloadedError as exc:
-                        sheds.append(exc)
-                assert sheds, "the deliberate overload never shed"
-                assert all(exc.retry_after > 0 for exc in sheds)
-                assert all(exc.reason == "queue" for exc in sheds)
+                    assert shed.value.reason == "fair-share"
+                    assert shed.value.retry_after > 0
+                # Tenant u's share is free, so its job is admitted and
+                # waits behind the held one: queue depth == watermark.
+                waiting = other.submit(_spec(4))
+                assert waiting["state"] == "queued"
+                assert cluster.queue_depth() == 1
+                # Now every submission, from either tenant, sheds at
+                # the queue gate.
+                for n in range(5, 11):
+                    with pytest.raises(OverloadedError) as shed:
+                        (client if n % 2 else other).submit(_spec(n))
+                    assert shed.value.reason == "queue"
+                    assert shed.value.retry_after > 0
                 # The raw response carries the Retry-After header too.
-                shed = None
-                for n in range(50, 100):
-                    request = urllib.request.Request(
-                        f"http://{host}:{port}/jobs",
-                        data=json.dumps(_spec(n).to_dict()).encode(),
-                        method="POST",
-                        headers={"Content-Type": "application/json"},
-                    )
-                    try:
-                        urllib.request.urlopen(request, timeout=10).read()
-                    except urllib.error.HTTPError as exc:
-                        shed = exc
-                        break
-                assert shed is not None, "raw overload burst never shed"
-                assert shed.code == 429
-                assert int(shed.headers["Retry-After"]) >= 1
-                body = json.load(shed)
+                request = urllib.request.Request(
+                    f"{url}/jobs",
+                    data=json.dumps(_spec(50).to_dict()).encode(),
+                    method="POST",
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as raw:
+                    urllib.request.urlopen(request, timeout=10).read()
+                assert raw.value.code == 429
+                assert int(raw.value.headers["Retry-After"]) >= 1
+                body = json.load(raw.value)
                 assert body["reason"] == "queue"
                 assert body["retry_after"] > 0
+                assert cluster.queue_depth() == 1
         finally:
+            gate.set()
             server.stop()
             cluster.shutdown()
 

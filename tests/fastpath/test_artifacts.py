@@ -12,6 +12,7 @@ from repro.fastpath.artifacts import (
     ARTIFACT_TOTALS,
     ArtifactCache,
     artifact_key,
+    cached_compiled,
     cached_log,
     configure,
     dump_compiled_container,
@@ -20,7 +21,7 @@ from repro.fastpath.artifacts import (
 from repro.fastpath.compiled import compile_log
 from repro.tracelog.stats import summarize_log
 from repro.workloads.catalog import get_profile
-from repro.workloads.synthesis import synthesize_log
+from repro.workloads.synthesis import synthesize_compiled, synthesize_log
 
 
 @pytest.fixture
@@ -99,17 +100,17 @@ def test_cold_then_warm_compiled_log(store):
 
     def synthesize():
         calls.append(1)
-        return synthesize_log(profile, seed=5, scale=2.0)
+        return synthesize_compiled(profile, seed=5, scale=2.0)
 
     before = _totals()
-    cold, log = store.compiled_log(profile, 5, 2.0, synthesize)
-    assert log is not None and calls == [1]
+    cold = store.compiled_log(profile, 5, 2.0, synthesize)
+    assert calls == [1]
     assert _delta(before) == {
         "hits": 0, "misses": 1, "stores": 1, "logs_synthesized": 1,
     }
     before = _totals()
-    warm, log2 = store.compiled_log(profile, 5, 2.0, synthesize)
-    assert log2 is None and calls == [1]
+    warm = store.compiled_log(profile, 5, 2.0, synthesize)
+    assert calls == [1]
     assert _delta(before) == {
         "hits": 1, "misses": 0, "stores": 0, "logs_synthesized": 0,
     }
@@ -118,14 +119,15 @@ def test_cold_then_warm_compiled_log(store):
 
 def test_corrupt_entry_is_rewritten(store):
     profile = get_profile("gzip")
-    synthesize = lambda: synthesize_log(profile, seed=5, scale=2.0)
+    synthesize = lambda: synthesize_compiled(profile, seed=5, scale=2.0)
     store.compiled_log(profile, 5, 2.0, synthesize)
     path = store._path(artifact_key("compiled-log", profile, 5, 2.0), ".rac")
     path.write_bytes(b"garbage")
     before = _totals()
-    compiled, log = store.compiled_log(profile, 5, 2.0, synthesize)
-    assert log is not None  # re-synthesized
-    assert _delta(before)["misses"] == 1 and _delta(before)["stores"] == 1
+    store.compiled_log(profile, 5, 2.0, synthesize)
+    delta = _delta(before)
+    assert delta["misses"] == 1 and delta["logs_synthesized"] == 1
+    assert delta["stores"] == 1
     assert load_compiled_container(path.read_bytes()) is not None
 
 
@@ -149,15 +151,26 @@ def test_cached_log_matches_synthesis(store):
     assert warm.records == direct.records
 
 
+def test_cached_compiled_without_store_synthesizes(no_store):
+    profile = get_profile("gzip")
+    before = _totals()
+    compiled = cached_compiled(profile, 11, 2.0)
+    assert _delta(before) == {
+        "hits": 0, "misses": 0, "stores": 0, "logs_synthesized": 1,
+    }
+    direct = synthesize_compiled(profile, seed=11, scale=2.0)
+    assert list(compiled.rows()) == list(direct.rows())
+
+
 def test_write_failure_degrades_to_miss(tmp_path, small_log):
     target = tmp_path / "not-a-dir"
     target.write_text("file in the way")
     cache = ArtifactCache(target / "store")
     profile = get_profile("gzip")
-    compiled, log = cache.compiled_log(
-        profile, 1, 1.0, lambda: synthesize_log(profile, seed=1, scale=1.0)
+    compiled = cache.compiled_log(
+        profile, 1, 1.0, lambda: synthesize_compiled(profile, seed=1, scale=1.0)
     )
-    assert log is not None and len(compiled) > 0  # run still succeeded
+    assert len(compiled) > 0  # run still succeeded
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +183,7 @@ def test_dataset_warm_run_skips_synthesis(store):
     first = WorkloadDataset(**kwargs)
     cold_compiled = first.compiled("gzip")
     cold_stats = first.stats("gzip")
+    assert first._logs == {}  # a cold run builds no record objects
     before = _totals()
     second = WorkloadDataset(**kwargs)
     warm_compiled = second.compiled("gzip")
