@@ -8,7 +8,7 @@ by the final test in this module:
   scaling table reports;
 * **replay** — the fleet engine vs the reference
   ``MultiProcessSimulator`` replaying the same shared-table cell under
-  each sharing policy (the CI floor is 1.8x);
+  each sharing policy (the CI floor is 2.4x);
 * **interleaver speedup** — the O(1)-amortized streaming scheduler
   vs the per-record reference interleaver merging the same P=256
   homogeneous fleet (the CI floor is 5x);

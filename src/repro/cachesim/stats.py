@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import InvariantViolation
+
 
 @dataclass
 class CacheStats:
@@ -60,12 +62,25 @@ class CacheStats:
         )
 
     def check_invariants(self) -> None:
-        """Assert counter consistency (used by property tests)."""
-        assert self.hits + self.misses == self.accesses, (
-            f"hits({self.hits}) + misses({self.misses}) != "
-            f"accesses({self.accesses})"
-        )
-        assert sum(self.hits_by_cache.values()) == self.hits
+        """Verify counter consistency (every replay engine runs this
+        at the end of a replay, so it must hold under ``python -O``).
+
+        Raises:
+            InvariantViolation: when hits and misses do not add up to
+                accesses, or the per-cache hits do not add up to hits.
+        """
+        if self.hits + self.misses != self.accesses:
+            raise InvariantViolation(
+                "stats-consistency",
+                f"hits({self.hits}) + misses({self.misses}) != "
+                f"accesses({self.accesses})",
+            )
+        by_cache = sum(self.hits_by_cache.values())
+        if by_cache != self.hits:
+            raise InvariantViolation(
+                "stats-consistency",
+                f"hits by cache sum to {by_cache}, not hits({self.hits})",
+            )
 
 
 @dataclass

@@ -30,6 +30,8 @@ with P under sharing policies while private compiles O(P) bytes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core.config import GenerationalConfig
 from repro.errors import ConfigError
 from repro.experiments.base import ExperimentResult, attach_provenance
@@ -37,7 +39,12 @@ from repro.experiments.evaluation import baseline_capacity
 from repro.experiments.shared import HETEROGENEOUS_PALETTE, HOMOGENEOUS_BENCHMARK
 from repro.shared import SHARED_PERSISTENT
 from repro.shared.compose import LIBRARY_CATALOG, zipf_reaches
-from repro.shared.fleet import FleetSimulator, FleetWorkloads, churn_plan
+from repro.shared.fleet import (
+    FleetSimulator,
+    FleetWorkloads,
+    ProcessStream,
+    churn_plan,
+)
 from repro.shared.manager import make_group
 from repro.shared.policy import MIX_KINDS, POLICY_VARIANTS, sharing_config_for
 from repro.sim.interleave import DEFAULT_QUANTUM
@@ -95,25 +102,27 @@ def _shared_hits(policy: str, outcome) -> int:
     )
 
 
-def simulate_fleet_cell(
+@dataclass(frozen=True)
+class FleetCell:
+    """What every policy of one (mix, process count) fleet cell
+    replays: the workloads, per-process capacities and churn plan do
+    not depend on the sharing policy, so they are built once."""
+
+    mix: str
+    processes: int
+    seed: int
+    workloads: FleetWorkloads
+    capacities: tuple[int, ...]
+    streams: tuple[ProcessStream, ...]
+
+
+def build_fleet_cell(
     mix: str,
     processes: int,
-    policy: str,
     seed: int = 42,
     scale_multiplier: float = 1.0,
-    schedule: str = "round-robin",
-    quantum: int = DEFAULT_QUANTUM,
-) -> dict[str, object]:
-    """Simulate one (mix, process count, policy) fleet cell.
-
-    The shared unit of work for the serial curve loop, the
-    ``fleet-cell`` service job, and the smoke tests — every execution
-    path produces identical numbers.  Churn is always on (the plan is
-    a pure function of the cell's lengths and seed).
-
-    Returns:
-        A JSON-safe dict of the cell's aggregate metrics.
-    """
+) -> FleetCell:
+    """Build the policy-independent inputs of one fleet cell."""
     workloads = FleetWorkloads.from_specs(
         fleet_specs(mix, processes, seed=seed),
         seed=seed,
@@ -123,31 +132,51 @@ def simulate_fleet_cell(
         baseline_capacity(workloads.workload_of(p).total_trace_bytes)
         for p in range(processes)
     )
-    group = make_group(
-        capacities, GenerationalConfig(), sharing_config_for(policy)
+    return FleetCell(
+        mix=mix,
+        processes=processes,
+        seed=seed,
+        workloads=workloads,
+        capacities=capacities,
+        streams=tuple(churn_plan(workloads.lengths(), seed=seed)),
     )
-    streams = churn_plan(workloads.lengths(), seed=seed)
+
+
+def replay_fleet_cell(
+    cell: FleetCell,
+    policy: str,
+    schedule: str = "round-robin",
+    quantum: int = DEFAULT_QUANTUM,
+) -> dict[str, object]:
+    """Replay *cell* under *policy* against a fresh cache group.
+
+    Returns:
+        A JSON-safe dict of the cell's aggregate metrics.
+    """
+    group = make_group(
+        cell.capacities, GenerationalConfig(), sharing_config_for(policy)
+    )
     sim = FleetSimulator(
         group,
-        workloads,
+        cell.workloads,
         schedule=schedule,
-        seed=seed,
+        seed=cell.seed,
         quantum=quantum,
-        streams=streams,
+        streams=cell.streams,
     )
     outcome = sim.run()
     compiled = outcome.generated_bytes + outcome.dedup_bytes
     hits = sum(p.stats.hits for p in outcome.processes)
     shared_hits = _shared_hits(policy, outcome)
     return {
-        "mix": mix,
-        "processes": processes,
+        "mix": cell.mix,
+        "processes": cell.processes,
         "policy": policy,
         "schedule": schedule,
         "quantum": quantum,
-        "seed": seed,
-        "distinct_workloads": len(workloads.distinct),
-        "events": sum(s.effective_length for s in streams),
+        "seed": cell.seed,
+        "distinct_workloads": len(cell.workloads.distinct),
+        "events": sum(s.effective_length for s in cell.streams),
         "exited_early": sim.exited_early,
         "total_capacity": outcome.total_capacity,
         "accesses": outcome.accesses,
@@ -161,6 +190,43 @@ def simulate_fleet_cell(
         "duplicated_bytes": outcome.duplicated_bytes,
         "unique_content_bytes": outcome.unique_content_bytes,
     }
+
+
+def simulate_fleet_cell(
+    mix: str,
+    processes: int,
+    policy: str,
+    seed: int = 42,
+    scale_multiplier: float = 1.0,
+    schedule: str = "round-robin",
+    quantum: int = DEFAULT_QUANTUM,
+) -> dict[str, object]:
+    """Simulate one (mix, process count, policy) fleet cell:
+    :func:`build_fleet_cell` then :func:`replay_fleet_cell`.
+
+    The shared unit of work for the ``fleet-cell`` service job and the
+    smoke tests; the serial curve loop builds each (mix, process
+    count) once and replays every policy over it.  Every execution
+    path produces identical numbers.  Churn is always on (the plan is
+    a pure function of the cell's lengths and seed).
+
+    Returns:
+        A JSON-safe dict of the cell's aggregate metrics.
+    """
+    cell = build_fleet_cell(
+        mix, processes, seed=seed, scale_multiplier=scale_multiplier
+    )
+    return replay_fleet_cell(cell, policy, schedule=schedule, quantum=quantum)
+
+
+def _replay_policies(
+    cell: FleetCell, schedule: str, quantum: int
+) -> list[dict[str, object]]:
+    """Every policy's row of *cell*, in :data:`POLICY_VARIANTS` order."""
+    return [
+        replay_fleet_cell(cell, policy, schedule=schedule, quantum=quantum)
+        for policy in POLICY_VARIANTS
+    ]
 
 
 def run(
@@ -195,17 +261,22 @@ def run(
             points, seed, effective_scale, schedule, quantum, jobs, store
         )
     else:
+        # One build per (mix, process count), replayed under every
+        # policy; the build is dropped before the next one starts.
         cells = [
-            simulate_fleet_cell(
-                mix,
-                processes,
-                policy,
-                seed=seed,
-                scale_multiplier=effective_scale,
-                schedule=schedule,
-                quantum=quantum,
+            row
+            for mix in MIX_KINDS
+            for processes in counts
+            for row in _replay_policies(
+                build_fleet_cell(
+                    mix,
+                    processes,
+                    seed=seed,
+                    scale_multiplier=effective_scale,
+                ),
+                schedule,
+                quantum,
             )
-            for mix, processes, policy in points
         ]
     result = ExperimentResult(
         experiment_id="fleet",

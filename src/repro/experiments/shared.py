@@ -22,6 +22,8 @@ resident footprint, and bytes wasted on duplicate copies (``DupKB``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core.config import GenerationalConfig
 from repro.errors import ConfigError
 from repro.experiments.base import ExperimentResult, attach_provenance
@@ -70,54 +72,70 @@ def mix_benchmarks(mix: str, processes: int) -> list[str]:
     ]
 
 
-def simulate_mix(
+@dataclass(frozen=True)
+class MixCell:
+    """What every policy of one (mix, process count) cell replays: the
+    workloads and per-process capacities do not depend on the sharing
+    policy, so they are built once."""
+
+    mix: str
+    processes: int
+    seed: int
+    workloads: FleetWorkloads
+    capacities: tuple[int, ...]
+
+
+def build_mix(
     mix: str,
     processes: int,
-    policy: str,
     seed: int = 42,
     scale_multiplier: float = 1.0,
+) -> MixCell:
+    """Build the policy-independent inputs of one (mix, count) cell."""
+    workloads = build_process_workloads(
+        mix_benchmarks(mix, processes),
+        seed=seed,
+        scale_multiplier=scale_multiplier,
+    )
+    return MixCell(
+        mix=mix,
+        processes=processes,
+        seed=seed,
+        workloads=FleetWorkloads.from_process_workloads(workloads),
+        capacities=tuple(
+            baseline_capacity(w.log.total_trace_bytes) for w in workloads
+        ),
+    )
+
+
+def replay_mix(
+    cell: MixCell,
+    policy: str,
     schedule: str = "round-robin",
     quantum: int = DEFAULT_QUANTUM,
 ) -> dict[str, object]:
-    """Simulate one (mix, process count, policy) cell.
-
-    This is the shared unit of work: the serial table loop, the
-    ``shared-mix`` service job, and the smoke tests all call it, so
-    every execution path produces identical numbers.
-
-    The cell replays through the fleet stack (:mod:`repro.shared.fleet`).
-    :class:`~repro.shared.simulator.MultiProcessSimulator` is kept as the
-    reference oracle: the fleet test suite replays every 2/4/8-process
-    cell through both and compares every aggregate, which is the fleet
-    experiment's correctness anchor.
+    """Replay *cell* under *policy* against a fresh cache group.
 
     Returns:
         A JSON-safe dict of the cell's aggregate metrics.
     """
-    benchmarks = mix_benchmarks(mix, processes)
-    workloads = build_process_workloads(
-        benchmarks, seed=seed, scale_multiplier=scale_multiplier
-    )
-    capacities = tuple(
-        baseline_capacity(w.log.total_trace_bytes) for w in workloads
-    )
     group = make_group(
-        capacities, GenerationalConfig(), sharing_config_for(policy)
+        cell.capacities, GenerationalConfig(), sharing_config_for(policy)
     )
     outcome = FleetSimulator(
         group,
-        FleetWorkloads.from_process_workloads(workloads),
+        cell.workloads,
         schedule=schedule,
-        seed=seed,
+        seed=cell.seed,
         quantum=quantum,
     ).run()
     return {
-        "mix": mix,
-        "processes": processes,
+        "mix": cell.mix,
+        "processes": cell.processes,
         "policy": policy,
         "schedule": schedule,
         "quantum": quantum,
-        "seed": seed,
+        "seed": cell.seed,
         "total_capacity": outcome.total_capacity,
         "accesses": outcome.accesses,
         "miss_rate": outcome.miss_rate,
@@ -128,6 +146,48 @@ def simulate_mix(
         "duplicated_bytes": outcome.duplicated_bytes,
         "unique_content_bytes": outcome.unique_content_bytes,
     }
+
+
+def simulate_mix(
+    mix: str,
+    processes: int,
+    policy: str,
+    seed: int = 42,
+    scale_multiplier: float = 1.0,
+    schedule: str = "round-robin",
+    quantum: int = DEFAULT_QUANTUM,
+) -> dict[str, object]:
+    """Simulate one (mix, process count, policy) cell:
+    :func:`build_mix` then :func:`replay_mix`.
+
+    This is the shared unit of work of the ``shared-mix`` service job
+    and the smoke tests; the serial table loop builds each (mix,
+    process count) once and replays every policy over it.  Every
+    execution path produces identical numbers.
+
+    The cell replays through the fleet stack (:mod:`repro.shared.fleet`).
+    :class:`~repro.shared.simulator.MultiProcessSimulator` is kept as the
+    reference oracle: the fleet test suite replays every 2/4/8-process
+    cell through both and compares every aggregate, which is the fleet
+    experiment's correctness anchor.
+
+    Returns:
+        A JSON-safe dict of the cell's aggregate metrics.
+    """
+    cell = build_mix(
+        mix, processes, seed=seed, scale_multiplier=scale_multiplier
+    )
+    return replay_mix(cell, policy, schedule=schedule, quantum=quantum)
+
+
+def _replay_policies(
+    cell: MixCell, schedule: str, quantum: int
+) -> list[dict[str, object]]:
+    """Every policy's row of *cell*, in :data:`POLICY_VARIANTS` order."""
+    return [
+        replay_mix(cell, policy, schedule=schedule, quantum=quantum)
+        for policy in POLICY_VARIANTS
+    ]
 
 
 def run(
@@ -160,17 +220,22 @@ def run(
             points, seed, effective_scale, schedule, quantum, jobs, store
         )
     else:
+        # One build per (mix, process count), replayed under every
+        # policy; the build is dropped before the next one starts.
         cells = [
-            simulate_mix(
-                mix,
-                processes,
-                policy,
-                seed=seed,
-                scale_multiplier=effective_scale,
-                schedule=schedule,
-                quantum=quantum,
+            row
+            for mix in MIX_KINDS
+            for processes in counts
+            for row in _replay_policies(
+                build_mix(
+                    mix,
+                    processes,
+                    seed=seed,
+                    scale_multiplier=effective_scale,
+                ),
+                schedule,
+                quantum,
             )
-            for mix, processes, policy in points
         ]
     result = ExperimentResult(
         experiment_id="shared-cache",

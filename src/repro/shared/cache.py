@@ -125,6 +125,23 @@ class SharedPersistentCache:
         )
         return trace
 
+    def record_hits(
+        self, process: int, gid: int, time: int, count: int, module_id: int
+    ) -> tuple[()]:
+        """:meth:`attach` plus :meth:`touch` in one call, for a copy the
+        caller knows is resident (the group's shared-cache hit
+        handler); returns the hits' (empty) effects.  A stale caller
+        gets a bare ``KeyError``."""
+        trace = self._cache.touch_resident(gid, time, count)
+        holders = self._attachments[gid]
+        if process not in holders:
+            self.attach_reuses += 1
+            self.reused_bytes += trace.size
+        holders[process] = module_id
+        hits = self.hits_by_process
+        hits[process] = hits.get(process, 0) + count
+        return ()
+
     def detach_module(
         self, process: int, module_id: int
     ) -> tuple[list[CachedTrace], list[int]]:

@@ -26,10 +26,19 @@ make the fleet version scale where the reference cannot:
   column as segments replay — same per-record deltas, no
   ``ScheduledRecord`` objects.
 
-Hits, nearly every record, are served inline by one
-:meth:`~repro.shared.manager.SharedCacheGroup.hit` call each; the
+Hits, nearly every record, are served the way the batched replay loop
+(:mod:`repro.fastpath.replay`) serves them: from *residency maps*
+(gid → ``(cache name, handler, trace record)``) kept only from the
+``Inserted``/``Promoted``/``Evicted`` effects group calls return (the
+group effect contract on
+:class:`~repro.shared.manager.SharedCacheGroup`).  One map covers the
+shared caches; each process that has process-local caches gets its
+own.  A resident access costs one or two map probes plus either an
+in-place trace-record update (plain caches) or one handler call from
+:meth:`~repro.shared.manager.SharedCacheGroup.hit_entries`; the
 reference's ``lookup`` + ``on_hit`` pair stays the path the
-equivalence suite checks them against.
+equivalence suite checks them against.  At the end of a replay the
+maps are checked against the group's resident copies.
 
 Churned processes add one behavior the reference never needed: a
 process killed early (its stream ``limit``) releases its pins and
@@ -42,11 +51,12 @@ import the package root.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Sequence
 
 from repro.cachesim.stats import CacheStats
 from repro.core.effects import Effect, Evicted, EvictionReason, Promoted
-from repro.errors import ConfigError, LogFormatError
+from repro.errors import ConfigError, InvariantViolation, LogFormatError
 from repro.fastpath import OP_ACCESS, OP_CREATE, OP_END, OP_PIN, OP_UNMAP, OP_UNPIN
 from repro.shared.fleet.scheduler import ProcessStream, stream_segments
 from repro.shared.fleet.workloads import FleetWorkloads
@@ -54,6 +64,10 @@ from repro.shared.identity import TraceInterner
 from repro.shared.manager import SharedCacheGroup
 from repro.shared.simulator import ProcessSummary, SharedSimulationResult
 from repro.sim.interleave import DEFAULT_QUANTUM
+
+#: The local residency map of a process whose group has no
+#: process-local cache: probed on every access, never written.
+_NO_LOCAL = MappingProxyType({})
 
 
 class FleetSimulator:
@@ -130,6 +144,18 @@ class FleetSimulator:
             for process in range(n)
         ]
         self._exited = 0
+        # Residency maps, gid -> (cache name, handler | None,
+        # CachedTrace | None), kept purely from the effect stream: one
+        # for the shared caches, and one per process for its local
+        # caches (bound at the process's first segment).
+        self._shared: dict[int, tuple] = {}
+        self._local: list[dict | MappingProxyType | None] = [None] * n
+        # Fold prototypes per process: cache name -> (residency map,
+        # resident entry | None, cache).  A handler cache's entry is
+        # shared by all its residents; a plain cache's entry is built
+        # per insertion around the live trace record.
+        self._protos: list[dict | None] = [None] * n
+        self._common_protos: dict | None = None
 
     # ------------------------------------------------------------------
     # Replay
@@ -142,7 +168,8 @@ class FleetSimulator:
         last_time = [0] * n
         consumed = [0] * n
         global_time = 0
-        hit = self.group.hit
+        shared_get = self._shared.get
+        absorb = self._absorb
         for segment in stream_segments(
             self.streams,
             schedule=self.schedule,
@@ -155,8 +182,14 @@ class FleetSimulator:
             distinct_index = workloads.assignment[process]
             workload = workloads.distinct[distinct_index]
             known = self._known[distinct_index]
+            known_get = known.get
+            local = self._local[process]
+            if local is None:
+                local = self._bind(process)
+            local_get = local.get
             stats = self._summaries[process].stats
             hits_by_cache = stats.hits_by_cache
+            hits = 0
             last = last_time[process]
             for code, now, trace_id, size, module_id, repeat in zip(
                 *(column[start:stop] for column in workload.columns)
@@ -166,25 +199,32 @@ class FleetSimulator:
                     global_time += delta
                 last = now
                 if code == OP_ACCESS:
-                    # Resident accesses (nearly all of them) are served
-                    # inline by one group call; the rest are misses.
-                    info = known.get(trace_id)
-                    served = (
-                        None
-                        if info is None
-                        else hit(process, info[0], global_time, repeat, info[2])
+                    info = known_get(trace_id)
+                    if info is not None:
+                        gid = info[0]
+                        entry = local_get(gid) or shared_get(gid)
+                        if entry is not None:
+                            # Hot path: a resident access.
+                            cache_name, handler, trace = entry
+                            if trace is not None:
+                                # Plain hit: mutate the record in place.
+                                trace.access_count += repeat
+                                trace.last_access = global_time
+                            else:
+                                effects = handler(
+                                    process, gid, global_time, repeat, info[2]
+                                )
+                                if effects:
+                                    absorb(process, effects)
+                            hits += repeat
+                            if cache_name in hits_by_cache:
+                                hits_by_cache[cache_name] += repeat
+                            else:
+                                hits_by_cache[cache_name] = repeat
+                            continue
+                    self._on_miss(
+                        process, known, trace_id, repeat, global_time
                     )
-                    if served is None:
-                        self._on_miss(
-                            process, known, trace_id, repeat, global_time
-                        )
-                        continue
-                    cache, effects = served
-                    stats.accesses += repeat
-                    stats.hits += repeat
-                    hits_by_cache[cache] = hits_by_cache.get(cache, 0) + repeat
-                    if effects:
-                        self._absorb(process, effects)
                 elif code == OP_CREATE:
                     self._on_create(
                         process,
@@ -205,6 +245,10 @@ class FleetSimulator:
                     self._on_unpin(process, known, trace_id)
                 elif code != OP_END:  # pragma: no cover - closed opcode set
                     raise LogFormatError(f"unhandled opcode {code}")
+            # Every resident access is a hit, so the loop counts them
+            # once per segment.
+            stats.accesses += hits
+            stats.hits += hits
             last_time[process] = last
             consumed[process] += stop - start
             stream = self.streams[process]
@@ -214,6 +258,7 @@ class FleetSimulator:
             ):
                 self._on_exit(process, workload, known, global_time)
         self.group.check_invariants()
+        self._check_residency()
         result = SharedSimulationResult(
             group_name=self.group.name,
             schedule=self.schedule,
@@ -286,14 +331,20 @@ class FleetSimulator:
         self._apply_pending_pin(process, trace_id, info)
         remaining = repeat - 1
         if remaining:
-            served = self.group.hit(process, gid, time, remaining, module_id)
-            if served is None:
+            entry = self._local[process].get(gid) or self._shared.get(gid)
+            if entry is None:
                 # Uncacheable trace: every entry misses.
                 stats.misses += remaining
+                return
+            cache_name, handler, trace = entry
+            if trace is not None:
+                trace.access_count += remaining
+                trace.last_access = time
             else:
-                cache, effects = served
-                stats.record_hit(cache, remaining)
-                self._absorb(process, effects)
+                effects = handler(process, gid, time, remaining, module_id)
+                if effects:
+                    self._absorb(process, effects)
+            stats.record_hit(cache_name, remaining)
 
     def _on_unmap(
         self,
@@ -394,18 +445,101 @@ class FleetSimulator:
                 pending.discard(trace_id)
                 self._held_pins.setdefault(process, set()).add(info[0])
 
+    def _bind(self, process: int) -> dict | MappingProxyType:
+        """Resolve *process*'s hit entries into fold prototypes and
+        give it a residency map for its local caches; returns the map.
+        """
+        local: dict = {}
+        protos = {
+            name: (
+                self._shared if shared else local,
+                None if handler is None else (name, handler, None),
+                cache,
+            )
+            for name, shared, handler, cache in self.group.hit_entries(
+                process
+            ).values()
+        }
+        if not any(target is local for target, _, _ in protos.values()):
+            # Only shared caches: the prototypes do not depend on the
+            # process (shared handlers take it as an argument), so
+            # every process folds through one table.
+            local = _NO_LOCAL
+            if self._common_protos is None:
+                self._common_protos = protos
+            protos = self._common_protos
+        self._local[process] = local
+        self._protos[process] = protos
+        return local
+
     def _absorb(self, process: int, effects: Sequence[Effect]) -> None:
-        """Fold an effect list into the acting process's statistics."""
+        """Fold an effect list into the residency maps and the acting
+        process's statistics, in the batched loop's per-effect order."""
         stats = self._summaries[process].stats
+        protos = self._protos[process]
         for effect in effects:
-            if isinstance(effect, Evicted):
-                if effect.reason is EvictionReason.UNMAP:
+            kind = type(effect)
+            if kind is Evicted:
+                protos[effect.cache][0].pop(effect.trace_id, None)
+                reason = effect.reason
+                if reason is EvictionReason.UNMAP:
                     stats.unmap_evictions += 1
-                elif effect.reason is EvictionReason.FLUSH:
+                elif reason is EvictionReason.FLUSH:
                     stats.flush_evictions += 1
                 else:
                     stats.evictions += 1
                 stats.evicted_bytes += effect.size
-            elif isinstance(effect, Promoted):
+                continue
+            if kind is Promoted:
+                protos[effect.src][0].pop(effect.trace_id, None)
                 stats.promotions += 1
                 stats.promoted_bytes += effect.size
+                name = effect.dst
+            else:  # Inserted
+                name = effect.cache
+            target, entry, cache = protos[name]
+            if entry is None:
+                # find, not get: the cascade may already have evicted
+                # this trace again; a later Evicted effect in this
+                # batch then pops the entry, before any access.
+                entry = (name, None, cache.find(effect.trace_id))
+            target[effect.trace_id] = entry
+
+    def _check_residency(self) -> None:
+        """The residency maps must hold exactly the group's resident
+        copies: every entry's cache holds its gid, every plain entry
+        holds the live trace record, and the counts agree.
+
+        Raises:
+            InvariantViolation: on any drift between maps and caches.
+        """
+        maps = [
+            (local, protos)
+            for local, protos in zip(self._local, self._protos)
+            if protos is not None
+        ]
+        if maps:
+            # Every process's prototypes cover the shared caches.
+            maps.append((self._shared, maps[0][1]))
+        entries = 0
+        for residency, protos in maps:
+            entries += len(residency)
+            for gid, (name, handler, trace) in residency.items():
+                cache = protos[name][2]
+                if gid not in cache or (
+                    handler is None and cache.find(gid) is not trace
+                ):
+                    raise InvariantViolation(
+                        "fleet-residency",
+                        f"residency map entry for trace {gid} disagrees "
+                        f"with cache {name!r}",
+                        cache=name,
+                        trace_id=gid,
+                    )
+        copies = sum(self.group.resident_copies().values())
+        if entries != copies:
+            raise InvariantViolation(
+                "fleet-residency",
+                f"residency maps hold {entries} entries but the group "
+                f"has {copies} resident copies",
+            )

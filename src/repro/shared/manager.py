@@ -78,23 +78,56 @@ def _make_cache(config: GenerationalConfig, capacity: int, name: str) -> CodeCac
     return policy_class(capacity, name=name, **kwargs)
 
 
-#: One cache of a generational manager as :meth:`SharedCacheGroup.hit`
-#: probes it: ``(cache, name, handler)``, where ``handler(gid, time,
-#: count)`` applies the hits and returns their effects.
-_HitPath = tuple[CodeCache, str, Callable[[int, int, int], Sequence[Effect]]]
+#: How one cache of a group serves hits for one process, as
+#: :meth:`SharedCacheGroup.hit_entries` gives it: ``(name, is_shared,
+#: handler, cache)``.  ``handler`` is None for a *plain* cache, whose
+#: hits are exactly a trace-record touch (the replay engine updates the
+#: record in place); otherwise ``handler(process, gid, time, count,
+#: module_id)`` is :meth:`SharedCacheGroup.on_hit` for a trace resident
+#: in that cache, minus the residency scan, and returns the effects.
+HitHandler = Callable[[int, int, int, int, int], Sequence[Effect]]
+HitEntry = tuple[str, bool, HitHandler | None, CodeCache]
 
 
-def _hit_paths(manager: GenerationalCacheManager) -> tuple[_HitPath, ...]:
-    """*manager*'s caches in lookup order, each with the manager's
-    resolved hit handler."""
-    return tuple(
-        (cache, cache.name, manager.hit_handler(cache.name))
-        for cache in manager.caches()
-    )
+def _manager_entries(manager: GenerationalCacheManager) -> dict[str, HitEntry]:
+    """*manager*'s caches as process-local hit entries, resolved the
+    way the batched loop resolves them (``plain_hit_caches`` and
+    ``hit_handler``)."""
+    plain = manager.plain_hit_caches()
+    entries: dict[str, HitEntry] = {}
+    for cache in manager.caches():
+        handler = None
+        if cache.name not in plain:
+            handler = _local_handler(manager.hit_handler(cache.name))
+        entries[cache.name] = (cache.name, False, handler, cache)
+    return entries
+
+
+def _local_handler(
+    handler: Callable[[int, int, int], Sequence[Effect]]
+) -> HitHandler:
+    """Adapt a manager's ``(trace_id, time, count)`` hit handler to
+    :data:`HitHandler`."""
+
+    def local_hit(process, gid, time, count, module_id):
+        return handler(gid, time, count)
+
+    return local_hit
 
 
 class SharedCacheGroup(abc.ABC):
-    """N per-process cache views over one sharing policy."""
+    """N per-process cache views over one sharing policy.
+
+    Effect contract: every residency change a group makes appears, as
+    an :class:`~repro.core.effects.Inserted`,
+    :class:`~repro.core.effects.Evicted` or
+    :class:`~repro.core.effects.Promoted` effect, in the effects
+    returned to the call that made it (``insert``, ``unmap_module``,
+    ``on_hit`` or a :meth:`hit_entries` handler); ``pin`` and ``unpin``
+    change none.  This is the group analogue of
+    :attr:`repro.core.manager.CacheManager.fastpath_safe`: the fleet
+    engine keeps its residency maps from those effects alone.
+    """
 
     #: Human-readable description for reports.
     name: str = "abstract-group"
@@ -135,16 +168,15 @@ class SharedCacheGroup(abc.ABC):
         """Notify the group of *count* hits by *process* at *time*."""
 
     @abc.abstractmethod
-    def hit(
-        self, process: int, gid: int, time: int, count: int, module_id: int
-    ) -> tuple[str, Sequence[Effect]] | None:
-        """The one-call hit path: :meth:`lookup` plus :meth:`on_hit`.
+    def hit_entries(self, process: int) -> dict[str, HitEntry]:
+        """How *process*'s hits are served, per cache it can hit in:
+        ``{cache name: (name, is_shared, handler, cache)}`` (see
+        :data:`HitEntry`), resolved once per process.
 
-        When *gid* is resident for *process*, apply *count* hits at
-        *time* and return ``(name of the serving cache, effects)``
-        (the effects are often an empty tuple).  Otherwise return None
-        and change nothing.  ``lookup``/``on_hit`` stay the reference
-        simulator's path, which the tests compare this against.
+        A shared cache's entry is the same for every process (its
+        handler takes the process as an argument).  ``lookup`` +
+        ``on_hit`` stay the reference simulator's path, which the tests
+        compare these entries against.
         """
 
     @abc.abstractmethod
@@ -241,7 +273,6 @@ class PrivateCacheGroup(SharedCacheGroup):
         self._managers = [
             GenerationalCacheManager(cap, config) for cap in self.capacities
         ]
-        self._hit_paths = [_hit_paths(manager) for manager in self._managers]
         self.name = f"group[private x{self.n_processes}]"
 
     def lookup(self, process: int, gid: int) -> str | None:
@@ -252,13 +283,8 @@ class PrivateCacheGroup(SharedCacheGroup):
     ) -> AccessOutcome:
         return self._managers[process].on_hit(gid, time, count)
 
-    def hit(
-        self, process: int, gid: int, time: int, count: int, module_id: int
-    ) -> tuple[str, Sequence[Effect]] | None:
-        for cache, name, handler in self._hit_paths[process]:
-            if gid in cache:
-                return name, handler(gid, time, count)
-        return None
+    def hit_entries(self, process: int) -> dict[str, HitEntry]:
+        return _manager_entries(self._managers[process])
 
     def insert(
         self, process: int, gid: int, size: int, module_id: int, time: int
@@ -328,6 +354,12 @@ class SharedPersistentGroup(SharedCacheGroup):
         )
         #: Pin claims on shared copies: gid -> claiming processes.
         self._pin_claims: dict[int, set[int]] = {}
+        self._shared_entry: HitEntry = (
+            SHARED_PERSISTENT,
+            True,
+            self._shared_hit_handler(),
+            self.shared._cache,
+        )
         self.name = (
             f"group[{sharing.label()} x{self.n_processes}, {config.label()}]"
         )
@@ -370,33 +402,49 @@ class SharedPersistentGroup(SharedCacheGroup):
         self.shared.touch(gid, time, count, process)
         return AccessOutcome(cache=SHARED_PERSISTENT, effects=[])
 
-    def hit(
-        self, process: int, gid: int, time: int, count: int, module_id: int
-    ) -> tuple[str, Sequence[Effect]] | None:
+    def hit_entries(self, process: int) -> dict[str, HitEntry]:
         tracker = self._tracker
         nursery = self._nurseries[process]
-        if gid in nursery:
+        probation = self._probations[process]
+
+        def nursery_hit(process, gid, time, count, module_id):
             if tracker is not None:
                 tracker.observe(gid, time, count)
-            return NURSERY, nursery.record_hits(gid, time, count)
-        probation = self._probations[process]
-        if gid in probation:
+            return nursery.record_hits(gid, time, count)
+
+        def probation_hit(process, gid, time, count, module_id):
             if tracker is not None:
                 tracker.observe(gid, time, count)
             trace = probation.touch_resident(gid, time, count)
             if self._qualifies_on_hit(gid, trace, time) and not trace.pinned:
                 effects: list[Effect] = []
                 self._promote_to_shared(process, trace, probation, time, effects)
-                return PROBATION, effects
-            return PROBATION, ()
-        shared = self.shared
-        if shared.contains(gid):
-            if tracker is not None:
-                tracker.observe(gid, time, count)
-            shared.attach(gid, process, module_id)
-            shared.touch(gid, time, count, process)
-            return SHARED_PERSISTENT, ()
-        return None
+                return effects
+            return ()
+
+        plain_nursery = tracker is None and nursery.plain_touch
+        # Without a tracker, on-eviction promotion never promotes on a
+        # hit, so plain-touch probation hits are plain.
+        plain_probation = (
+            tracker is None
+            and probation.plain_touch
+            and self.config.promotion_mode is not PromotionMode.ON_HIT
+        )
+        return {
+            NURSERY: (
+                NURSERY,
+                False,
+                None if plain_nursery else nursery_hit,
+                nursery,
+            ),
+            PROBATION: (
+                PROBATION,
+                False,
+                None if plain_probation else probation_hit,
+                probation,
+            ),
+            SHARED_PERSISTENT: self._shared_entry,
+        }
 
     def insert(
         self, process: int, gid: int, size: int, module_id: int, time: int
@@ -485,6 +533,21 @@ class SharedPersistentGroup(SharedCacheGroup):
         yield self.shared._cache
 
     # -- internals -------------------------------------------------------
+
+    def _shared_hit_handler(self) -> HitHandler:
+        """The shared copy's hit handler: observe the temperature,
+        then attach and touch in one :class:`SharedPersistentCache`
+        call."""
+        record_hits = self.shared.record_hits
+        tracker = self._tracker
+        if tracker is None:
+            return record_hits
+
+        def observed_shared_hit(process, gid, time, count, module_id):
+            tracker.observe(gid, time, count)
+            return record_hits(process, gid, time, count, module_id)
+
+        return observed_shared_hit
 
     def _qualifies_on_hit(self, gid: int, trace: CachedTrace, time: int) -> bool:
         if self._tracker is not None:
@@ -705,7 +768,18 @@ class SharedAllGroup(SharedCacheGroup):
         #: fleets replaying a handful of distinct binaries.
         self._attachments: dict[int, dict[int, int]] = {}
         self._pin_claims: dict[int, set[int]] = {}
-        self._hit_paths = _hit_paths(self._manager)
+        # Every cache is shared and every hit must keep the attachment
+        # masks current, so no cache is plain and one entry table
+        # serves all processes.
+        self._entries: dict[str, HitEntry] = {
+            cache.name: (
+                cache.name,
+                True,
+                self._attaching_handler(self._manager.hit_handler(cache.name)),
+                cache,
+            )
+            for cache in self._manager.caches()
+        }
         self.name = f"group[shared-all x{self.n_processes}, {config.label()}]"
 
     def lookup(self, process: int, gid: int) -> str | None:
@@ -719,18 +793,8 @@ class SharedAllGroup(SharedCacheGroup):
         self._sync_attachments(outcome.effects)
         return outcome
 
-    def hit(
-        self, process: int, gid: int, time: int, count: int, module_id: int
-    ) -> tuple[str, Sequence[Effect]] | None:
-        for cache, name, handler in self._hit_paths:
-            if gid in cache:
-                effects = handler(gid, time, count)
-                if not self._attachments[gid].get(module_id, 0) >> process & 1:
-                    self._attach(gid, process, module_id)
-                if effects:
-                    self._sync_attachments(effects)
-                return name, effects
-        return None
+    def hit_entries(self, process: int) -> dict[str, HitEntry]:
+        return self._entries
 
     def insert(
         self, process: int, gid: int, size: int, module_id: int, time: int
@@ -808,6 +872,26 @@ class SharedAllGroup(SharedCacheGroup):
 
     def _iter_caches(self) -> Iterable[CodeCache]:
         yield from self._manager.caches()
+
+    def _attaching_handler(
+        self, handler: Callable[[int, int, int], Sequence[Effect]]
+    ) -> HitHandler:
+        """Wrap a manager hit handler: apply the hits, then attach the
+        process if its bit is not set yet and drop the bookkeeping of
+        any trace the hits evicted."""
+        attachments = self._attachments
+        attach = self._attach
+        sync = self._sync_attachments
+
+        def attaching_hit(process, gid, time, count, module_id):
+            effects = handler(gid, time, count)
+            if not attachments[gid].get(module_id, 0) >> process & 1:
+                attach(gid, process, module_id)
+            if effects:
+                sync(effects)
+            return effects
+
+        return attaching_hit
 
     def _attach(self, gid: int, process: int, module_id: int) -> None:
         """Record that *process* maps *gid* via *module_id* (latest

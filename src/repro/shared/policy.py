@@ -125,7 +125,16 @@ class TemperatureTracker:
     def observe(self, gid: int, time: int, count: int = 1) -> float:
         """Record *count* reuses of *gid* at *time*; returns the new
         temperature."""
-        value = self._decayed(gid, time) + count
+        # _decayed inlined (every hit on a tracked group lands here),
+        # with the same float expressions in the same order.
+        state = self._state.get(gid)
+        if state is None:
+            value = 0.0
+        else:
+            value, last = state
+            if time > last:
+                value = value * 0.5 ** ((time - last) / self.half_life)
+        value += count
         self._state[gid] = (value, time)
         return value
 

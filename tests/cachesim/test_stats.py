@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cachesim.stats import CacheStats, SimulationResult
@@ -32,6 +36,42 @@ class TestCacheStats:
         stats = CacheStats(accesses=10, hits=3, misses=3)
         with pytest.raises(AssertionError):
             stats.check_invariants()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            "accesses=10, hits=3, misses=3",
+            "accesses=4, hits=3, misses=1, hits_by_cache={'nursery': 2}",
+        ],
+    )
+    def test_violation_survives_python_O(self, fields):
+        """Every replay engine checks its counters at the end of a
+        replay; the check must not vanish with ``assert`` under -O."""
+        import repro
+
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        out = subprocess.run(
+            [
+                sys.executable,
+                "-O",
+                "-c",
+                "from repro.cachesim.stats import CacheStats\n"
+                "from repro.errors import InvariantViolation\n"
+                "try:\n"
+                f"    CacheStats({fields}).check_invariants()\n"
+                "except InvariantViolation as exc:\n"
+                "    print(exc.invariant)\n",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "stats-consistency"
 
 
 class TestSimulationResult:

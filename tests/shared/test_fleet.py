@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import GenerationalConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, InvariantViolation
 from repro.experiments.evaluation import baseline_capacity
 from repro.experiments.shared import mix_benchmarks, simulate_mix
 from repro.shared.compose import (
@@ -296,3 +298,53 @@ class TestEngineEquivalence:
             assert len(fleet.processes) == len(reference.processes)
             for got, want in zip(fleet.processes, reference.processes):
                 assert got == want, (policy, want.process)
+
+
+def replayed_fleet(policy: str) -> FleetSimulator:
+    """A small heterogeneous fleet, replayed to completion."""
+    workloads = FleetWorkloads.from_specs(
+        [("crafty", 1), ("gzip", 1), ("crafty", 2), ("word", 1)],
+        seed=42,
+        scale_multiplier=SCALE,
+    )
+    capacities = tuple(
+        baseline_capacity(workloads.workload_of(p).total_trace_bytes)
+        for p in range(workloads.n_processes)
+    )
+    group = make_group(
+        capacities, GenerationalConfig(), sharing_config_for(policy)
+    )
+    sim = FleetSimulator(group, workloads, seed=42)
+    sim.run()
+    return sim
+
+
+class TestResidencyDriftCheck:
+    """The end-of-replay check catches residency maps that disagree
+    with the group's caches."""
+
+    @pytest.mark.parametrize("policy", POLICY_VARIANTS)
+    def test_clean_replay_passes(self, policy):
+        replayed_fleet(policy)._check_residency()
+
+    def test_lost_entry_detected(self):
+        sim = replayed_fleet("shared-all")
+        del sim._shared[next(iter(sim._shared))]
+        with pytest.raises(InvariantViolation, match="resident copies"):
+            sim._check_residency()
+
+    def test_stale_entry_detected(self):
+        sim = replayed_fleet("shared-persistent")
+        sim._shared[-1] = next(iter(sim._shared.values()))
+        with pytest.raises(InvariantViolation, match="disagrees"):
+            sim._check_residency()
+
+    def test_stale_plain_record_detected(self):
+        sim = replayed_fleet("private")
+        local = sim._local[0]
+        gid, (name, handler, trace) = next(
+            (gid, entry) for gid, entry in local.items() if entry[2] is not None
+        )
+        local[gid] = (name, handler, dataclasses.replace(trace))
+        with pytest.raises(InvariantViolation, match="disagrees"):
+            sim._check_residency()

@@ -316,12 +316,77 @@ def _reference_access(group, process, gid, time, count, module):
     return outcome.cache, outcome.effects
 
 
-def _one_call_access(group, process, gid, time, count, module):
-    served = group.hit(process, gid, time, count, module)
-    if served is None:
-        return None
-    cache, effects = served
-    return cache, list(effects)
+class _ResidencyMaps:
+    """Residency maps folded from a group's effects, the way
+    ``FleetSimulator`` keeps them: one map for the shared caches, one
+    per process for its local caches, each gid -> ``(cache name,
+    handler, trace record)``."""
+
+    def __init__(self, group):
+        self.entries = [group.hit_entries(p) for p in range(group.n_processes)]
+        self.shared = {}
+        self.local = [{} for _ in range(group.n_processes)]
+
+    def _map(self, process, name):
+        shared = self.entries[process][name][1]
+        return self.shared if shared else self.local[process]
+
+    def fold(self, process, effects):
+        for effect in effects:
+            if isinstance(effect, Evicted):
+                self._map(process, effect.cache).pop(effect.trace_id, None)
+                continue
+            if isinstance(effect, Promoted):
+                self._map(process, effect.src).pop(effect.trace_id, None)
+                name = effect.dst
+            else:
+                name = effect.cache
+            _, _, handler, cache = self.entries[process][name]
+            trace = cache.find(effect.trace_id) if handler is None else None
+            self._map(process, name)[effect.trace_id] = (name, handler, trace)
+
+    def access(self, process, gid, time, count, module):
+        """Serve an access from the maps: None when not resident."""
+        entry = self.local[process].get(gid) or self.shared.get(gid)
+        if entry is None:
+            return None
+        name, handler, trace = entry
+        if trace is not None:
+            trace.access_count += count
+            trace.last_access = time
+            return name, []
+        effects = list(handler(process, gid, time, count, module))
+        self.fold(process, effects)
+        return name, effects
+
+    def assert_agrees(self):
+        """Every cache holds exactly the gids its map entries name, and
+        every plain entry holds the live trace record."""
+        for process, entries in enumerate(self.entries):
+            for name, _, handler, cache in entries.values():
+                residency = self._map(process, name)
+                mapped = {
+                    gid: trace
+                    for gid, (entry_name, _, trace) in residency.items()
+                    if entry_name == name
+                }
+                assert set(mapped) == {t.trace_id for t in cache.traces()}, (
+                    process,
+                    name,
+                )
+                if handler is None:
+                    for gid, trace in mapped.items():
+                        assert cache.find(gid) is trace, (process, name, gid)
+
+
+def _folded(maps, process, result):
+    """Fold an applied operation's effects into *maps*; returns
+    *result* unchanged."""
+    if isinstance(result, tuple):  # insert: (effects, deduped)
+        maps.fold(process, result[0])
+    elif isinstance(result, list):  # unmap
+        maps.fold(process, result)
+    return result
 
 
 def _guarded(call, *args):
@@ -336,8 +401,11 @@ def _guarded(call, *args):
 if HAVE_HYPOTHESIS:
 
     class TestOneCallHit:
-        """``hit`` must be exactly ``lookup`` + ``on_hit``: same returns,
-        same state, on random operation sequences over every group."""
+        """A hit served the fleet engine's way, from residency maps
+        folded from effects plus the groups' ``hit_entries``, must be
+        exactly ``lookup`` + ``on_hit``: same returns, same state, on
+        random operation sequences over every group; and the maps must
+        agree with the caches after every step."""
 
         @pytest.mark.parametrize(
             "mode", list(PromotionMode), ids=lambda mode: mode.value
@@ -370,6 +438,7 @@ if HAVE_HYPOTHESIS:
             )
             reference = make_group(DIFF_CAPS, config, _diff_sharing(variant))
             candidate = make_group(DIFF_CAPS, config, _diff_sharing(variant))
+            maps = _ResidencyMaps(candidate)
             time = 0
             for op in ops:
                 kind, process, gid, module, count, advance = op
@@ -378,14 +447,20 @@ if HAVE_HYPOTHESIS:
                     args = (process, gid, time, count, module)
                     before = _state(candidate)
                     expected = _guarded(_reference_access, reference, *args)
-                    got = _guarded(_one_call_access, candidate, *args)
+                    got = _guarded(maps.access, *args)
                     assert got == expected, op
                     if expected is None:
                         # Not resident: nothing may change.
                         assert _state(candidate) == before, op
                 else:
                     expected = _guarded(_apply, reference, op, time)
-                    assert _guarded(_apply, candidate, op, time) == expected, op
+                    got = _guarded(
+                        lambda: _folded(
+                            maps, process, _apply(candidate, op, time)
+                        )
+                    )
+                    assert got == expected, op
                 assert _state(candidate) == _state(reference), op
                 if expected == "cache-full":
                     return  # a failed placement ends the sequence
+                maps.assert_agrees()
