@@ -3,13 +3,14 @@
 Each rule encodes one invariant the reproduction's results depend on —
 determinism of the simulator core, conformance of eviction policies to
 the :class:`~repro.policies.base.CodeCache` contract, numeric hygiene
-in the metrics layer.  See ``docs/analysis.md`` for the rationale and
-examples of every rule.
+in the metrics layer, and the package boundaries in :data:`BOUNDARIES`.
+See ``docs/analysis.md`` for the rationale and examples of every rule.
 """
 
 from __future__ import annotations
 
 import ast
+from typing import NamedTuple
 
 from repro.analysis.core import FileContext, Rule, Severity, register
 from repro.units import KB, MB
@@ -19,14 +20,6 @@ from repro.units import KB, MB
 #: :mod:`repro.rand`'s seeded substreams instead.
 NONDETERMINISTIC_MODULES = frozenset(
     {"random", "time", "datetime", "secrets", "uuid"}
-)
-
-#: Concurrency primitives confined to :mod:`repro.service`.  The
-#: simulator core is single-threaded by design — replay results must
-#: not depend on interleaving — so worker pools, locks and queues may
-#: only appear in the service layer.
-CONCURRENCY_MODULES = frozenset(
-    {"threading", "_thread", "multiprocessing", "concurrent", "queue", "asyncio"}
 )
 
 #: Byte-unit magic numbers that must be spelled via repro.units.
@@ -110,96 +103,198 @@ class NoNondeterminismRule(Rule):
             )
 
 
-@register
-class NoRawConcurrencyRule(Rule):
-    """Concurrency primitives stay inside :mod:`repro.service`; a lock
-    or worker pool anywhere else makes replay results depend on
-    interleaving and breaks the determinism contract."""
+class Boundary(NamedTuple):
+    """One import-confinement boundary: code that only its own package
+    may import or construct.  Each row of :data:`BOUNDARIES` registers
+    as its own rule."""
 
-    rule_id = "no-raw-concurrency"
-    description = (
-        "threading/multiprocessing/queue/concurrent/asyncio imports are "
-        "confined to repro.service and repro.cluster; the simulation "
-        "core stays single-threaded"
-    )
+    rule_id: str
+    description: str
+    #: Where the confined code lives (fnmatch patterns, never checked).
+    exempt_paths: tuple[str, ...]
+    #: What to do instead; ends every message.
+    advice: str
+    #: Modules no other file may import, by exact dotted name.
+    modules: frozenset[str] = frozenset()
+    #: Top-level modules no other file may import anything from.
+    module_roots: frozenset[str] = frozenset()
+    #: Classes no other file may call, bare or as an attribute.
+    constructors: frozenset[str] = frozenset()
+    #: Names no other file may import from any ``repro.*`` module.
+    names: frozenset[str] = frozenset()
+
+
+#: The import boundaries; see ``docs/analysis.md`` for each rationale.
+BOUNDARIES = (
+    # The simulator core is single-threaded by design (replay results
+    # must not depend on interleaving), so worker pools, locks and
+    # queues only appear in the serving layers.
+    Boundary(
+        rule_id="no-raw-concurrency",
+        description=(
+            "threading/multiprocessing/queue/concurrent/asyncio imports "
+            "are confined to repro.service and repro.cluster; the "
+            "simulation core stays single-threaded"
+        ),
+        exempt_paths=("*repro/service/*", "*repro/cluster/*"),
+        advice="dispatch through the service layer",
+        module_roots=frozenset(
+            {
+                "threading",
+                "_thread",
+                "multiprocessing",
+                "concurrent",
+                "queue",
+                "asyncio",
+            }
+        ),
+    ),
+    # Tightens the row above for the event loop: asyncio and the
+    # EventBus thread->loop bridge live in the cluster front end only.
+    Boundary(
+        rule_id="cluster-api",
+        description=(
+            "asyncio imports and repro.cluster.events internals are "
+            "confined to repro.cluster; other layers use the streaming "
+            "HTTP API"
+        ),
+        exempt_paths=("*repro/cluster/*",),
+        advice="the event loop lives in repro.cluster; consume events "
+        "via the streaming HTTP API",
+        modules=frozenset({"repro.cluster.events"}),
+        module_roots=frozenset({"asyncio"}),
+    ),
+    # The shared cache's raw mutators skip the group manager's
+    # attachment and pin-claim bookkeeping.
+    Boundary(
+        rule_id="shared-cache-api",
+        description=(
+            "SharedPersistentCache construction/mutation is confined to "
+            "repro.shared; other layers go through the cache group manager"
+        ),
+        exempt_paths=("*repro/shared/*",),
+        advice="drive the shared cache through make_group",
+        modules=frozenset({"repro.shared.cache"}),
+        constructors=frozenset({"SharedPersistentCache"}),
+        names=frozenset({"SharedPersistentCache"}),
+    ),
+    # Replay correctness depends on every column writer keeping the six
+    # packed arrays in lockstep.  binary.py decodes straight into packed
+    # columns (the sanctioned serialization fast path).
+    Boundary(
+        rule_id="fastpath-api",
+        description=(
+            "repro.fastpath.compiled/replay imports and direct "
+            "CompiledTraceLog construction are confined to repro.fastpath; "
+            "other layers use the package-root API"
+        ),
+        exempt_paths=("*repro/fastpath/*", "*repro/tracelog/binary.py"),
+        advice="use the repro.fastpath package-root API "
+        "(compile_log, ensure_compiled)",
+        modules=frozenset(
+            {"repro.fastpath.compiled", "repro.fastpath.replay"}
+        ),
+        constructors=frozenset({"CompiledTraceLog"}),
+    ),
+    # The fleet scheduler's segment accounting, the distinct-workload
+    # cursor sharing and the columnar replay loop are one coupled
+    # mechanism whose equivalence to the reference simulator is pinned.
+    Boundary(
+        rule_id="fleet-api",
+        description=(
+            "repro.shared.fleet.scheduler/workloads/simulator imports and "
+            "direct DistinctWorkload construction are confined to "
+            "repro.shared.fleet; other layers use the package-root API"
+        ),
+        exempt_paths=("*repro/shared/fleet/*",),
+        advice="use the repro.shared.fleet package-root API "
+        "(FleetWorkloads.from_specs, FleetSimulator)",
+        modules=frozenset(
+            {
+                "repro.shared.fleet.scheduler",
+                "repro.shared.fleet.workloads",
+                "repro.shared.fleet.simulator",
+            }
+        ),
+        constructors=frozenset({"DistinctWorkload"}),
+    ),
+)
+
+
+class BoundaryRule(Rule):
+    """Flags imports and constructor calls that cross one
+    :class:`Boundary` from outside its package."""
+
+    boundary: Boundary
     severity = Severity.ERROR
-    exempt_paths = ("*repro/service/*", "*repro/cluster/*")
+
+    def _confined(self, module: str) -> bool:
+        return (
+            module in self.boundary.modules
+            or module.split(".")[0] in self.boundary.module_roots
+        )
 
     def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
         for alias in node.names:
-            root = alias.name.split(".")[0]
-            if root in CONCURRENCY_MODULES:
+            if self._confined(alias.name):
                 ctx.report(
                     self,
                     node,
-                    f"import of concurrency module {alias.name!r} outside "
-                    "repro.service; dispatch through the service layer",
-                )
-
-    def visit_ImportFrom(self, ctx: FileContext, node: ast.ImportFrom) -> None:
-        root = (node.module or "").split(".")[0]
-        if node.level == 0 and root in CONCURRENCY_MODULES:
-            ctx.report(
-                self,
-                node,
-                f"import from concurrency module {root!r} outside "
-                "repro.service; dispatch through the service layer",
-            )
-
-
-@register
-class ClusterApiRule(Rule):
-    """The event-loop seam stays inside :mod:`repro.cluster`: ``asyncio``
-    is confined there (tightening ``no-raw-concurrency``, which also
-    admits it in :mod:`repro.service`), and the
-    :class:`~repro.cluster.events.EventBus` thread→loop bridge may only
-    be constructed by cluster code — other layers consume events through
-    the streaming HTTP API or scheduler listeners, never by publishing
-    onto someone else's loop."""
-
-    rule_id = "cluster-api"
-    description = (
-        "asyncio imports and repro.cluster.events internals are confined "
-        "to repro.cluster; other layers use the streaming HTTP API"
-    )
-    severity = Severity.ERROR
-    exempt_paths = ("*repro/cluster/*",)
-
-    def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name.split(".")[0] == "asyncio":
-                ctx.report(
-                    self,
-                    node,
-                    "import of asyncio outside repro.cluster; the event "
-                    "loop lives in the cluster front end only",
-                )
-            elif alias.name == "repro.cluster.events":
-                ctx.report(
-                    self,
-                    node,
-                    "import of repro.cluster.events outside repro.cluster; "
-                    "consume events via the streaming HTTP API",
+                    f"import of {alias.name} crosses the {self.rule_id} "
+                    f"boundary; {self.boundary.advice}",
                 )
 
     def visit_ImportFrom(self, ctx: FileContext, node: ast.ImportFrom) -> None:
         if node.level != 0:
             return
         module = node.module or ""
-        if module.split(".")[0] == "asyncio":
+        if self._confined(module):
             ctx.report(
                 self,
                 node,
-                "import from asyncio outside repro.cluster; the event "
-                "loop lives in the cluster front end only",
+                f"import from {module} crosses the {self.rule_id} "
+                f"boundary; {self.boundary.advice}",
             )
-        elif module == "repro.cluster.events":
+        elif module.startswith("repro."):
+            for alias in node.names:
+                if alias.name in self.boundary.names:
+                    ctx.report(
+                        self,
+                        node,
+                        f"import of {alias.name} crosses the "
+                        f"{self.rule_id} boundary; {self.boundary.advice}",
+                    )
+
+    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            return
+        if name in self.boundary.constructors:
             ctx.report(
                 self,
                 node,
-                "import from repro.cluster.events outside repro.cluster; "
-                "consume events via the streaming HTTP API",
+                f"direct {name} construction crosses the {self.rule_id} "
+                f"boundary; {self.boundary.advice}",
             )
+
+
+for _boundary in BOUNDARIES:
+    register(
+        type(
+            "BoundaryRule[" + _boundary.rule_id + "]",
+            (BoundaryRule,),
+            {
+                "rule_id": _boundary.rule_id,
+                "description": _boundary.description,
+                "exempt_paths": _boundary.exempt_paths,
+                "boundary": _boundary,
+            },
+        )
+    )
 
 
 @register
@@ -288,190 +383,6 @@ class PolicyApiRule(Rule):
             ):
                 return True
         return False
-
-
-@register
-class SharedCacheApiRule(Rule):
-    """Direct :class:`~repro.shared.cache.SharedPersistentCache` use is
-    confined to :mod:`repro.shared`: its mutators skip the group
-    manager's attachment/pin-claim bookkeeping, so a write from any
-    other layer can strand a process on evicted shared code."""
-
-    rule_id = "shared-cache-api"
-    description = (
-        "SharedPersistentCache construction/mutation is confined to "
-        "repro.shared; other layers go through the cache group manager"
-    )
-    severity = Severity.ERROR
-    exempt_paths = ("*repro/shared/*",)
-
-    def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "repro.shared.cache":
-                ctx.report(
-                    self,
-                    node,
-                    "import of repro.shared.cache outside repro.shared; "
-                    "drive the shared cache through make_group",
-                )
-
-    def visit_ImportFrom(self, ctx: FileContext, node: ast.ImportFrom) -> None:
-        if node.level != 0:
-            return
-        module = node.module or ""
-        imported = {alias.name for alias in node.names}
-        if module == "repro.shared.cache":
-            ctx.report(
-                self,
-                node,
-                "import from repro.shared.cache outside repro.shared; "
-                "drive the shared cache through make_group",
-            )
-        elif module.startswith("repro.") and "SharedPersistentCache" in imported:
-            ctx.report(
-                self,
-                node,
-                "import of SharedPersistentCache outside repro.shared; "
-                "drive the shared cache through make_group",
-            )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "SharedPersistentCache":
-            ctx.report(
-                self,
-                node,
-                "direct SharedPersistentCache construction outside "
-                "repro.shared; use make_group",
-            )
-
-
-@register
-class FastpathApiRule(Rule):
-    """The packed-column internals of the replay fast path stay inside
-    :mod:`repro.fastpath` (plus the sanctioned RTL2 codec): replay
-    correctness depends on every column writer keeping the six arrays
-    in lockstep, so other layers go through the package root's public
-    surface (``compile_log``, ``ensure_compiled``, the row iterators)
-    and never build or pick apart a :class:`CompiledTraceLog` by
-    hand."""
-
-    rule_id = "fastpath-api"
-    description = (
-        "repro.fastpath.compiled/replay imports and direct "
-        "CompiledTraceLog construction are confined to repro.fastpath; "
-        "other layers use the package-root API"
-    )
-    severity = Severity.ERROR
-    # binary.py decodes straight into packed columns (the sanctioned
-    # serialization fast path), so it may construct the class.
-    exempt_paths = ("*repro/fastpath/*", "*repro/tracelog/binary.py")
-
-    _INTERNAL_MODULES = (
-        "repro.fastpath.compiled",
-        "repro.fastpath.replay",
-    )
-
-    def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name in self._INTERNAL_MODULES:
-                ctx.report(
-                    self,
-                    node,
-                    f"import of {alias.name} outside repro.fastpath; "
-                    "use the repro.fastpath package-root API",
-                )
-
-    def visit_ImportFrom(self, ctx: FileContext, node: ast.ImportFrom) -> None:
-        if node.level == 0 and (node.module or "") in self._INTERNAL_MODULES:
-            ctx.report(
-                self,
-                node,
-                f"import from {node.module} outside repro.fastpath; "
-                "use the repro.fastpath package-root API",
-            )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "CompiledTraceLog":
-            ctx.report(
-                self,
-                node,
-                "direct CompiledTraceLog construction outside "
-                "repro.fastpath; use compile_log/ensure_compiled",
-            )
-
-
-@register
-class FleetApiRule(Rule):
-    """The fleet simulation internals stay inside
-    :mod:`repro.shared.fleet`: the scheduler's segment accounting, the
-    distinct-workload cursor sharing, and the columnar replay loop are
-    one coupled mechanism whose equivalence to the reference simulator
-    is regression-pinned, so other layers consume the package root's
-    public surface (``FleetWorkloads``, ``FleetSimulator``,
-    ``stream_segments``, ``churn_plan``) and never assemble a
-    :class:`DistinctWorkload` by hand."""
-
-    rule_id = "fleet-api"
-    description = (
-        "repro.shared.fleet.scheduler/workloads/simulator imports and "
-        "direct DistinctWorkload construction are confined to "
-        "repro.shared.fleet; other layers use the package-root API"
-    )
-    severity = Severity.ERROR
-    exempt_paths = ("*repro/shared/fleet/*",)
-
-    _INTERNAL_MODULES = (
-        "repro.shared.fleet.scheduler",
-        "repro.shared.fleet.workloads",
-        "repro.shared.fleet.simulator",
-    )
-
-    def visit_Import(self, ctx: FileContext, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name in self._INTERNAL_MODULES:
-                ctx.report(
-                    self,
-                    node,
-                    f"import of {alias.name} outside repro.shared.fleet; "
-                    "use the repro.shared.fleet package-root API",
-                )
-
-    def visit_ImportFrom(self, ctx: FileContext, node: ast.ImportFrom) -> None:
-        if node.level == 0 and (node.module or "") in self._INTERNAL_MODULES:
-            ctx.report(
-                self,
-                node,
-                f"import from {node.module} outside repro.shared.fleet; "
-                "use the repro.shared.fleet package-root API",
-            )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "DistinctWorkload":
-            ctx.report(
-                self,
-                node,
-                "direct DistinctWorkload construction outside "
-                "repro.shared.fleet; use FleetWorkloads.from_specs or "
-                "FleetWorkloads.from_process_workloads",
-            )
 
 
 @register

@@ -166,6 +166,19 @@ class CallGraph:
         globals_: dict[str, int] = {}
         is_package = module.path.replace("\\", "/").endswith("/__init__.py")
 
+        def depend(target: str, lineno: int) -> None:
+            # Importing a.b.c runs a/__init__ and a/b/__init__ first;
+            # the packages the importer lives in are already under way.
+            parts = target.split(".")
+            for depth in range(1, len(parts)):
+                package = ".".join(parts[:depth])
+                inside = module.name == package or module.name.startswith(
+                    package + "."
+                )
+                if package in self.program.modules and not inside:
+                    imported.setdefault(package, lineno)
+            imported.setdefault(target, lineno)
+
         def scan(body: list[ast.stmt], module_level: bool) -> None:
             for stmt in body:
                 if isinstance(stmt, ast.Import):
@@ -174,7 +187,7 @@ class CallGraph:
                         target = alias.name if alias.asname else local
                         aliases.setdefault(local, target)
                         if module_level and alias.name in self.program.modules:
-                            imported.setdefault(alias.name, stmt.lineno)
+                            depend(alias.name, stmt.lineno)
                 elif isinstance(stmt, ast.ImportFrom):
                     base = self._import_base(module, stmt, is_package)
                     if base is None:
@@ -184,15 +197,17 @@ class CallGraph:
                         aliases.setdefault(local, f"{base}.{alias.name}")
                     if module_level:
                         # ``from pkg import submodule`` depends on the
-                        # submodule only (the import system's sys.modules
-                        # fallback makes it cycle-safe); importing a name
+                        # submodule (the import system's sys.modules
+                        # fallback makes it cycle-safe even while
+                        # pkg/__init__ is still running); importing a name
                         # defined *in* the package needs its __init__.
+                        # depend() adds the enclosing packages.
                         for alias in stmt.names:
                             sub = f"{base}.{alias.name}"
                             if sub in self.program.modules:
-                                imported.setdefault(sub, stmt.lineno)
+                                depend(sub, stmt.lineno)
                             elif base in self.program.modules:
-                                imported.setdefault(base, stmt.lineno)
+                                depend(base, stmt.lineno)
                 elif isinstance(stmt, ast.If):
                     if _is_type_checking(stmt.test):
                         continue

@@ -1,8 +1,9 @@
 """Concurrency lockset checking for the service layer.
 
 The service runs three kinds of concurrent code against the same
-scheduler object: the HTTP request threads (``ThreadingHTTPServer``
-handler methods), the scheduler's own bookkeeping threads
+scheduler object: the HTTP request handlers (asyncio connection tasks,
+or ``do_*`` methods of ``http.server`` handler classes), the
+scheduler's own bookkeeping threads
 (``threading.Thread`` targets), and the worker processes
 (``multiprocessing`` targets).  State they share must be accessed under
 a consistent lock — CPython makes most single attribute reads atomic,

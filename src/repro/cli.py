@@ -9,8 +9,8 @@ Examples::
     repro-gencache record gzip out.log       # synthesize + save a log
     repro-gencache profile figure-9 --quick  # cProfile + phase-timing JSON
 
-    repro-gencache serve --port 8350         # start the simulation service
-    repro-gencache cluster-serve --shards 3  # sharded cluster + streaming
+    repro-gencache serve --port 8350         # one-shard service, 2 workers
+    repro-gencache cluster-serve --shards 3  # the same front end, 3 shards
     repro-gencache loadgen --quick           # benchmark it -> BENCH_service
     repro-gencache submit figure-9 --quick   # run a job over HTTP
     repro-gencache status <job-id>           # poll one job
@@ -41,17 +41,10 @@ from repro.experiments.runner import (
 from repro.experiments import sweep as sweep_module
 from repro.service.client import ServiceClient
 from repro.service.jobs import spec_from_dict
-from repro.service.http import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    make_server,
-    serve_until_signal,
-)
 from repro.service.scheduler import (
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT,
     TERMINAL_STATES,
-    Scheduler,
 )
 from repro.service.store import ResultStore
 from repro.service.workers import result_from_dict
@@ -60,6 +53,10 @@ from repro.tracelog.writer import write_log
 from repro.units import format_bytes
 from repro.workloads.catalog import all_profiles, get_profile
 from repro.workloads.synthesis import synthesize_log
+
+#: Bind address of ``serve`` and ``cluster-serve``.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8350
 
 #: Fallback server URL for the client verbs (overridden by --server or
 #: the REPRO_SERVER environment variable).
@@ -425,33 +422,34 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    store = None
-    if args.store:
-        store = ResultStore(os.path.expanduser(args.store))
-    scheduler = Scheduler(
-        workers=args.jobs,
-        store=store,
-        timeout=args.timeout,
-        max_retries=args.retries,
-    )
-    server = make_server(scheduler, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    with scheduler:
-        print(
-            f"repro-gencache service listening on http://{host}:{port} "
-            f"({args.jobs} worker(s)"
-            + (f", store {args.store})" if args.store else ", no store)"),
-            flush=True,
-        )
-        signum = serve_until_signal(server, grace=args.grace)
-        print(
-            f"signal {signum}: drained in-flight jobs, shutting down",
-            file=sys.stderr,
-        )
-    return 0
+    # One shard of --jobs workers; admission and retention keep the
+    # cluster defaults.
+    return _serve_cluster(args, shards=1, workers_per_shard=args.jobs)
 
 
 def _cmd_cluster_serve(args: argparse.Namespace) -> int:
+    retention_kwargs = (
+        {"completed_retention": args.retention}
+        if args.retention is not None
+        else {}
+    )
+    return _serve_cluster(
+        args,
+        shards=args.shards,
+        workers_per_shard=args.workers_per_shard,
+        admission={"watermark": args.watermark, "rate": args.rate},
+        **retention_kwargs,
+    )
+
+
+def _serve_cluster(
+    args: argparse.Namespace,
+    shards: int,
+    workers_per_shard: int,
+    admission: dict | None = None,
+    **cluster_kwargs,
+) -> int:
+    """Run the cluster front end until SIGTERM/SIGINT drains it."""
     # Imported lazily: the cluster layer (and asyncio) stays out of
     # every other verb.
     from repro.cluster import (
@@ -460,36 +458,34 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
         EventBus,
         TieredResultStore,
     )
-    from repro.cluster.http import ClusterServer
-    from repro.cluster.http import serve_until_signal as cluster_serve_until
+    from repro.cluster.http import ClusterServer, serve_until_signal
 
     disk = ResultStore(os.path.expanduser(args.store)) if args.store else None
-    retention_kwargs = (
-        {"completed_retention": args.retention}
-        if args.retention is not None
-        else {}
-    )
+    controller = AdmissionController(**(admission or {}))
     cluster = ClusterScheduler(
-        shards=args.shards,
-        workers_per_shard=args.workers_per_shard,
+        shards=shards,
+        workers_per_shard=workers_per_shard,
         store=TieredResultStore(disk),
-        admission=AdmissionController(watermark=args.watermark, rate=args.rate),
+        admission=controller,
         bus=EventBus(),
         timeout=args.timeout,
         max_retries=args.retries,
-        **retention_kwargs,
+        **cluster_kwargs,
     )
     cluster.start()
     server = ClusterServer(cluster, host=args.host, port=args.port)
     host, port = server.start()
-    print(
-        f"repro-gencache cluster listening on http://{host}:{port} "
-        f"({args.shards} shard(s) x {args.workers_per_shard} worker(s), "
-        f"watermark {args.watermark}"
-        + (f", store {args.store})" if args.store else ", memory store)"),
-        flush=True,
-    )
-    signum = cluster_serve_until(server, grace=args.grace)
+
+    def announce() -> None:
+        print(
+            f"repro-gencache cluster listening on http://{host}:{port} "
+            f"({shards} shard(s) x {workers_per_shard} worker(s), "
+            f"watermark {controller.watermark}"
+            + (f", store {args.store})" if args.store else ", memory store)"),
+            flush=True,
+        )
+
+    signum = serve_until_signal(server, grace=args.grace, on_ready=announce)
     print(
         f"signal {signum}: drained in-flight jobs, shutting down",
         file=sys.stderr,
@@ -831,7 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve_parser = sub.add_parser(
-        "serve", help="start the HTTP simulation service"
+        "serve",
+        help="start the HTTP simulation service (cluster-serve with one "
+        "shard of --jobs workers)",
     )
     serve_parser.add_argument("--host", default=DEFAULT_HOST)
     serve_parser.add_argument("--port", type=int, default=DEFAULT_PORT)
@@ -841,8 +839,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--store", default=DEFAULT_STORE, metavar="DIR",
-        help=f"result store directory (default: {DEFAULT_STORE}; "
-        "pass '' to disable memoization)",
+        help=f"disk tier directory (default: {DEFAULT_STORE}; "
+        "pass '' for a memory-only hot tier)",
     )
     serve_parser.add_argument(
         "--timeout", type=float, default=DEFAULT_TIMEOUT, metavar="SECS",

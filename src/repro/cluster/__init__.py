@@ -1,10 +1,11 @@
 """Sharded cluster serving layer.
 
-Scales the single-node simulation service out to N independent
-scheduler shards behind consistent-hash routing, with streaming
-job-status subscriptions, bounded admission control, and a generational
-in-memory hot tier over the disk result store — the paper's cache
-hierarchy applied to the service's own result cache.
+Scales the simulation service's scheduler out to N independent
+shards behind consistent-hash routing, with streaming job-status
+subscriptions, bounded admission control, and a generational in-memory
+hot tier over the disk result store — the paper's cache hierarchy
+applied to the service's own result cache.  This is the service's only
+HTTP front end: ``serve`` runs it at one shard, ``cluster-serve`` at N.
 
 Layering (each module only reaches down):
 

@@ -1,9 +1,11 @@
 """Asyncio HTTP front end for the sharded cluster.
 
-One asyncio event loop (running on a dedicated background thread, so
-the synchronous CLI and tests can start/stop the server) serves the
-same JSON API as :mod:`repro.service.http` plus streaming job-status
-subscriptions, against a :class:`~repro.cluster.shards.ClusterScheduler`:
+The service's one HTTP front end: ``serve`` runs it over a one-shard
+cluster, ``cluster-serve`` over N shards.  One asyncio event loop
+(running on a dedicated background thread, so the synchronous CLI and
+tests can start/stop the server) serves the JSON job API plus streaming
+job-status subscriptions, against a
+:class:`~repro.cluster.shards.ClusterScheduler`:
 
 Endpoints::
 
@@ -17,11 +19,10 @@ Endpoints::
     GET  /metrics           per-shard queue depths, admission accept/
                             shed counters, tiered-store counters
 
-Failure semantics extend the single-node service: invalid specs are
-400, unknown ids 404, unfinished results 409, full shard queues 503 —
-and admission sheds are **429 with a Retry-After header**, the
-load-shedding contract the hardened client maps to
-:class:`~repro.errors.OverloadedError`.
+Failure semantics: invalid specs are 400, unknown ids 404, unfinished
+results 409, full shard queues and draining shards 503 — and admission
+sheds are **429 with a Retry-After header**, the load-shedding contract
+the hardened client maps to :class:`~repro.errors.OverloadedError`.
 
 The event stream is the thread→asyncio seam: shard collector threads
 publish terminal transitions to the :class:`~repro.cluster.events.EventBus`,
@@ -36,10 +37,12 @@ under hundreds of concurrent clients.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import math
 import signal
 import threading
+import time
 
 from repro.cluster.events import CLOSED, EventBus
 from repro.cluster.shards import ClusterScheduler
@@ -56,13 +59,16 @@ from repro.service.jobs import spec_from_dict
 from repro.service.scheduler import DONE, TERMINAL_STATES
 from repro.units import KB, MB
 
-#: Hard cap on request bodies, matching the single-node front end.
+#: Hard cap on request bodies (inline logs included).
 MAX_BODY_BYTES = 64 * MB
 #: Request-line + header block cap for the stream reader.
 MAX_HEADER_BYTES = 64 * KB
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8360
+
+#: How often :func:`serve_until_signal` checks for a received signal.
+SIGNAL_POLL_SECONDS = 0.05
 
 _REASONS = {
     200: "OK",
@@ -172,7 +178,7 @@ class ClusterServer:
         future = asyncio.run_coroutine_threadsafe(self._close(), loop)
         try:
             future.result(timeout=grace)
-        except TimeoutError:
+        except concurrent.futures.TimeoutError:  # not TimeoutError on 3.10
             future.cancel()
         loop.call_soon_threadsafe(loop.stop)
         if self._thread is not None:
@@ -185,9 +191,15 @@ class ClusterServer:
     async def _close(self) -> None:
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._conn_tasks):
+        # Cancel the connections before waiting on the server: since
+        # Python 3.12, wait_closed() also waits for every open
+        # connection, so an idle keep-alive client would hold it open.
+        tasks = list(self._conn_tasks)
+        for task in tasks:
             task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # ------------------------------------------------------------------
     # Connection handling (loop thread)
@@ -210,7 +222,10 @@ class ClusterServer:
         except (ConnectionError, asyncio.LimitOverrunError):
             return  # client went away or flooded headers; drop it
         except asyncio.CancelledError:
-            raise
+            # _close is stopping the server.  Ending normally keeps the
+            # stream protocol's done-callback, which calls
+            # task.exception(), from logging the cancellation.
+            return
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
@@ -456,30 +471,40 @@ class ClusterServer:
         await writer.drain()
 
 
-def serve_until_signal(server: ClusterServer, grace: float = 30.0) -> int:
+def serve_until_signal(
+    server: ClusterServer, grace: float = 30.0, on_ready=None
+) -> int:
     """Serve until SIGTERM/SIGINT, then drain the cluster gracefully.
 
-    Mirrors :func:`repro.service.http.serve_until_signal`: on the first
-    signal every shard stops admitting (new submissions get 503) while
-    the front end keeps answering status/result queries and event
-    streams, so accepted jobs finish — up to *grace* seconds — before
-    the listener closes and the shard pools shut down.
+    On the first signal every shard stops admitting (new submissions
+    get 503) while the front end keeps answering status/result queries
+    and event streams, so accepted jobs finish — up to *grace* seconds —
+    before the listener closes and the shard pools shut down.
+
+    *on_ready* runs once the handlers are installed (the CLI prints its
+    listening line there), so a client that signals as soon as the
+    server looks ready can no longer kill it before the drain is armed.
 
     Returns the signal number received.  Must run on the main thread.
     """
-    stop = threading.Event()
     received = {"signum": 0}
 
     def _handle(signum, frame) -> None:
         received["signum"] = signum
-        stop.set()
 
     previous = {
         signum: signal.signal(signum, _handle)
         for signum in (signal.SIGTERM, signal.SIGINT)
     }
     try:
-        stop.wait()
+        if on_ready is not None:
+            on_ready()
+        # Poll instead of blocking on a threading.Event: the handler
+        # runs between the main thread's bytecodes, and an Event.set()
+        # there deadlocks when it interrupts Event.wait() while that
+        # holds the Event's lock.
+        while not received["signum"]:
+            time.sleep(SIGNAL_POLL_SECONDS)
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
@@ -494,9 +519,8 @@ def make_cluster_server(
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
 ) -> ClusterServer:
-    """Bind-and-start convenience mirroring
-    :func:`repro.service.http.make_server`; the server is live (and
-    ``server.address`` resolved) when this returns."""
+    """Build and start a :class:`ClusterServer`; the server is live
+    (and ``server.address`` resolved) when this returns."""
     server = ClusterServer(cluster, host=host, port=port)
     server.start()
     return server

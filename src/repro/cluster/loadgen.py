@@ -175,7 +175,7 @@ def run_load(
     """Run the load phase against a live server; returns the bench doc.
 
     Args:
-        base_url: Server to drive (single-node or cluster front end).
+        base_url: Server to drive (``serve`` or ``cluster-serve``).
         clients: Concurrent synthetic client threads.
         requests: Submissions per client.
         population: Spec population (default: :func:`build_population`
@@ -294,12 +294,10 @@ def _wait_for_drain(
     must finish before counters are snapshotted)."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        metrics = probe.metrics()
-        shards = metrics.get("shards")
-        views = list(shards.values()) if shards else [metrics]
+        shards = probe.metrics()["shards"].values()
         if all(
-            view["queue_depth"] == 0 and view["jobs_running"] == 0
-            for view in views
+            shard["queue_depth"] == 0 and shard["jobs_running"] == 0
+            for shard in shards
         ):
             return
         time.sleep(poll)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
-from repro.cachesim.arena import Arena
+from repro.policies.arena import Arena
 from repro.errors import (
     DuplicateTraceError,
     InvariantViolation,

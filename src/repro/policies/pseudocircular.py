@@ -64,7 +64,7 @@ class PseudoCircularCache(CodeCache):
         if it would cross capacity) and every resident overlapping it
         is evicted — no reset loop can trigger, so the generic
         allocate / drop-each-victim / place pipeline collapses into a
-        single :meth:`~repro.cachesim.arena.Arena.displace` call.
+        single :meth:`~repro.policies.arena.Arena.displace` call.
         Inserts dominate replay wall time at the paper's capacity
         pressure, which is why this path is worth the duplication; any
         pinned trace or configuration wrinkle defers to the general

@@ -51,8 +51,7 @@ class ServiceClient:
     Args:
         base_url: e.g. ``"http://127.0.0.1:8350"``.
         timeout: Per-request socket timeout in seconds.
-        tenant: Admission tenant name sent as ``X-Tenant`` (cluster
-            servers only; single-node servers ignore it).
+        tenant: Admission tenant name sent as ``X-Tenant``.
         max_retries: Extra attempts for idempotent GETs after a
             transient connection failure.
         backoff_base: First GET-retry delay (doubles per attempt).
@@ -157,10 +156,10 @@ class ServiceClient:
     def events(self, job_id: str, timeout: float | None = None):
         """Yield the ``/jobs/<id>/events`` SSE stream as dicts.
 
-        Cluster servers only.  The stream (and this generator) ends
-        after the job's terminal event.  Uses its own connection: the
-        stream holds it until the job finishes, which would starve the
-        client's persistent connection.
+        The stream (and this generator) ends after the job's terminal
+        event.  Uses its own connection: the stream holds it until the
+        job finishes, which would starve the client's persistent
+        connection.
         """
         conn = http.client.HTTPConnection(
             self._host, self._port, timeout=timeout or self.timeout

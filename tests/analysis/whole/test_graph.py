@@ -170,3 +170,20 @@ class TestImportCycles:
         program = Program.from_paths([pkg])
         assert ImportCycleRule().check(program) == []
         assert program.graph.module_imports["pkg.user"] == {"pkg.sub": 1}
+
+    def test_cycle_through_a_package_init_is_flagged(self, tmp_path):
+        # a.core never names package b, but ``import b.leaf`` runs
+        # b/__init__ first, and that imports back into a.core.
+        files = {
+            "a/__init__.py": "",
+            "a/core.py": "import b.leaf\nthing = 1\n",
+            "b/__init__.py": "from b.mid import helper\n",
+            "b/leaf.py": "x = 1\n",
+            "b/mid.py": "from a.core import thing\nhelper = thing\n",
+        }
+        for name, source in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(source)
+        program = Program.from_paths([tmp_path / "a", tmp_path / "b"])
+        (violation,) = ImportCycleRule().check(program)
+        assert set(violation.trace) == {"a.core", "b", "b.mid"}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cachesim.arena import Arena
+from repro.cachesim import Arena
 from repro.errors import (
     ArenaBoundsError,
     ArenaOverlapError,

@@ -7,6 +7,7 @@ drives it through the hardened ServiceClient.
 from __future__ import annotations
 
 import functools
+import http.client
 import json
 import multiprocessing
 import time
@@ -23,6 +24,7 @@ from repro.cluster.store_tier import TieredResultStore
 from repro.errors import ConfigError, OverloadedError, ServiceError
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec, job_id
+from repro.service.store import ResultStore
 from tests.cluster.test_shards import slow_worker
 from tests.service.test_scheduler import echo_worker
 
@@ -111,6 +113,30 @@ class TestEndpoints:
         client, _ = service
         with pytest.raises(ServiceError, match="HTTP 404"):
             client.status("j" + "0" * 31)
+
+    def test_restart_serves_from_disk_store(self, tmp_path):
+        # A fresh server over the same disk tier answers a repeated
+        # submission from it, the way a restarted `serve` does.
+        for cached in (False, True):
+            cluster = ClusterScheduler(
+                shards=1,
+                store=TieredResultStore(ResultStore(tmp_path / "store")),
+                worker_target=echo_worker,
+            )
+            cluster.start()
+            server = make_cluster_server(cluster, port=0)
+            host, port = server.address
+            try:
+                with ServiceClient(f"http://{host}:{port}") as client:
+                    status, payload = client.submit_and_wait(SPEC, timeout=30)
+                    assert status["cached"] is cached
+                    assert payload["echo"] == "figure-1"
+                    counters = client.metrics()["cluster"]
+                    assert counters["cache_hits"] == int(cached)
+                    assert counters["jobs_completed"] == int(not cached)
+            finally:
+                server.stop()
+                cluster.shutdown()
 
     def test_unfinished_result_is_409(self, tmp_path):
         cluster = ClusterScheduler(shards=1, worker_target=slow_worker)
@@ -275,6 +301,25 @@ class TestServerLifecycle:
                 server.start()
         finally:
             server.stop()
+
+    def test_stop_does_not_wait_on_an_idle_keep_alive_client(self):
+        cluster = ClusterScheduler(shards=1, worker_target=echo_worker)
+        cluster.start()
+        server = ClusterServer(cluster, port=0)
+        host, port = server.start()
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert not response.will_close
+            started = time.monotonic()
+            server.stop(grace=5)
+            assert time.monotonic() - started < 1.0
+        finally:
+            conn.close()
+            server.stop()
+            cluster.shutdown()
 
     def test_stop_is_idempotent(self, tmp_path):
         cluster = ClusterScheduler(shards=1, worker_target=echo_worker)

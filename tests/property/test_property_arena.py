@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.cachesim.arena import Arena
+from repro.cachesim import Arena
 from repro.errors import ArenaError, DuplicateTraceError
 
 

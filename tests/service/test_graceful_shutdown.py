@@ -3,7 +3,8 @@
 Runs the real CLI verbs (``serve`` and ``cluster-serve``) as
 subprocesses, submits real sweep-point jobs over HTTP, signals the
 process while work is queued, and asserts the accepted jobs all made
-it to the on-disk store before the process exited cleanly.
+it to the on-disk store before the process exited cleanly.  One more
+check pins what ``serve`` runs: the cluster front end at one shard.
 """
 
 from __future__ import annotations
@@ -122,6 +123,31 @@ class TestServeDrainsOnSignal:
             assert process.returncode == 0, stderr
             assert "drained in-flight jobs" in stderr
             assert ResultStore(store_dir).get(job_id(specs[0])) is not None
+        finally:
+            if process.poll() is None:
+                process.kill()
+
+
+class TestServeRunsOneShard:
+    def test_healthz_reports_one_shard_of_jobs_workers(self):
+        process = _spawn(
+            ["serve", "--port", "0", "--jobs", "1", "--store", ""]
+        )
+        try:
+            base_url = _wait_for_listen(process)
+            with ServiceClient(base_url) as client:
+                health = client.healthz()
+            assert health["status"] == "ok"
+            assert health["shards"] == {
+                "shard-0": {
+                    "workers_alive": 1,
+                    "workers_total": 1,
+                    "ring_state": "live",
+                }
+            }
+            process.send_signal(signal.SIGTERM)
+            _, stderr = process.communicate(timeout=60)
+            assert process.returncode == 0, stderr
         finally:
             if process.poll() is None:
                 process.kill()

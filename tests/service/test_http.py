@@ -1,97 +1,100 @@
-"""HTTP API + client round-trip tests (echo workers, free port)."""
+"""`serve` front end tests: the JSON API at one shard (echo workers,
+free port).
+
+`serve --jobs N --store DIR` runs the cluster server over one shard of
+N workers and a disk-backed tiered store; the fixture builds that same
+shape and drives it through ServiceClient.
+"""
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.cluster import (
+    AdmissionController,
+    ClusterScheduler,
+    EventBus,
+    TieredResultStore,
+)
+from repro.cluster.http import ClusterServer
 from repro.errors import ConfigError, ServiceError
 from repro.service.client import ServiceClient
-from repro.service.http import make_server
 from repro.service.jobs import JobSpec, job_id
-from repro.service.scheduler import Scheduler
 from repro.service.store import ResultStore
 from tests.service.test_scheduler import echo_worker, sleepy_worker
 
 SPEC = JobSpec(kind="experiment", experiment_id="figure-1")
 
 
+def _serve(tmp_path, jobs: int, worker_target, **scheduler_kwargs):
+    """Start the cluster server the way `serve --jobs <jobs>` does."""
+    cluster = ClusterScheduler(
+        shards=1,
+        workers_per_shard=jobs,
+        store=TieredResultStore(ResultStore(tmp_path / "store")),
+        admission=AdmissionController(),
+        bus=EventBus(),
+        worker_target=worker_target,
+        **scheduler_kwargs,
+    )
+    cluster.start()
+    server = ClusterServer(cluster, port=0)
+    host, port = server.start()
+    return cluster, server, ServiceClient(f"http://{host}:{port}")
+
+
 @pytest.fixture
 def service(tmp_path):
-    """A live server over echo workers; yields (client, scheduler)."""
-    store = ResultStore(tmp_path / "store")
-    with Scheduler(workers=2, store=store, worker_target=echo_worker) as sched:
-        server = make_server(sched, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            yield ServiceClient(f"http://{host}:{port}"), sched
-        finally:
-            server.shutdown()
-            server.server_close()
+    """A live one-shard server over echo workers; yields the client."""
+    cluster, server, client = _serve(tmp_path, jobs=2, worker_target=echo_worker)
+    try:
+        yield client
+    finally:
+        client.close()
+        server.stop()
+        cluster.shutdown()
 
 
 class TestEndpoints:
-    def test_healthz(self, service):
-        client, _ = service
-        health = client.healthz()
-        assert health["status"] == "ok"
-        assert health["workers_alive"] == 2
-
     def test_submit_and_wait_round_trip(self, service):
-        client, _ = service
-        status, payload = client.submit_and_wait(SPEC, timeout=30)
+        status, payload = service.submit_and_wait(SPEC, timeout=30)
         assert status["state"] == "done"
         assert status["job_id"] == job_id(SPEC)
         assert payload["echo"] == "figure-1"
 
-    def test_cached_second_submission(self, service):
-        client, scheduler = service
-        client.submit_and_wait(SPEC, timeout=30)
-        # Clear the in-memory record so the second submission must go
-        # through the disk store, like a restarted server would.
-        scheduler._jobs.clear()
-        status = client.submit(SPEC)
-        assert status["state"] == "done"
-        assert status["cached"] is True
-        assert client.metrics()["cache_hits"] == 1
-
     def test_invalid_spec_is_400(self, service):
         # A rejected spec is the caller's configuration error (CLI exit
         # code 2), not a service failure.
-        client, _ = service
         with pytest.raises(ConfigError, match="HTTP 400"):
-            client.submit({"kind": "experiment"})  # missing experiment_id
+            service.submit({"kind": "experiment"})  # missing experiment_id
 
     def test_unknown_field_is_400(self, service):
-        client, _ = service
         with pytest.raises(ConfigError, match="HTTP 400"):
-            client.submit({**SPEC.to_dict(), "bogus": 1})
+            service.submit({**SPEC.to_dict(), "bogus": 1})
 
     def test_unknown_job_is_404(self, service):
-        client, _ = service
         with pytest.raises(ServiceError, match="HTTP 404"):
-            client.status("j" + "0" * 31)
+            service.status("j" + "0" * 31)
         with pytest.raises(ServiceError, match="HTTP 404"):
-            client.result("j" + "0" * 31)
+            service.result("j" + "0" * 31)
 
     def test_unknown_endpoint_is_404(self, service):
-        client, _ = service
         with pytest.raises(ServiceError, match="HTTP 404"):
-            client._request("GET", "/nope")
+            service._request("GET", "/nope")
 
     def test_metrics_shape(self, service):
-        client, _ = service
-        client.submit_and_wait(SPEC, timeout=30)
-        metrics = client.metrics()
-        assert metrics["jobs_completed"] == 1
-        assert metrics["workers_total"] == 2
-        assert set(metrics) >= {
+        service.submit_and_wait(SPEC, timeout=30)
+        metrics = service.metrics()
+        assert set(metrics) >= {"shards", "cluster", "admission", "store"}
+        assert metrics["cluster"]["jobs_completed"] == 1
+        assert metrics["cluster"]["shard_count"] == 1
+        (shard,) = metrics["shards"].values()
+        assert shard["workers_total"] == 2
+        assert set(shard) >= {
             "queue_depth",
             "cache_hit_rate",
             "worker_utilization",
@@ -99,9 +102,8 @@ class TestEndpoints:
         }
 
     def test_bad_json_body_is_400(self, service):
-        client, _ = service
         request = urllib.request.Request(
-            client.base_url + "/jobs",
+            service.base_url + "/jobs",
             data=b"{not json",
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -114,18 +116,14 @@ class TestEndpoints:
 
 class TestUnfinishedResult:
     def test_result_of_running_job_is_409(self, tmp_path):
-        with Scheduler(
-            workers=1, worker_target=sleepy_worker, timeout=60
-        ) as sched:
-            server = make_server(sched, port=0)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            host, port = server.server_address[:2]
-            client = ServiceClient(f"http://{host}:{port}")
-            try:
-                status = client.submit(SPEC)
-                with pytest.raises(ServiceError, match="HTTP 409"):
-                    client.result(status["job_id"])
-            finally:
-                server.shutdown()
-                server.server_close()
+        cluster, server, client = _serve(
+            tmp_path, jobs=1, worker_target=sleepy_worker, timeout=60
+        )
+        try:
+            status = client.submit(SPEC)
+            with pytest.raises(ServiceError, match="HTTP 409"):
+                client.result(status["job_id"])
+        finally:
+            client.close()
+            server.stop()
+            cluster.shutdown()

@@ -41,7 +41,7 @@ class TestErrorHierarchy:
         assert issubclass(errors.LogOrderError, errors.LogFormatError)
 
     def test_catching_the_base_class_works(self):
-        from repro.cachesim.arena import Arena
+        from repro.cachesim import Arena
 
         with pytest.raises(errors.ReproError):
             Arena(0)
