@@ -49,6 +49,7 @@ ALLOWED_CALLS = frozenset(
         "touch_resident",
         "record_hits",
         "insert",
+        "admit",
         "remove",
         "remove_module",
         "pin",
@@ -57,7 +58,8 @@ ALLOWED_CALLS = frozenset(
         "caches",
         "get",
         "traces",
-        # Effect records and outcome containers.
+        # Trace records, effect records and outcome containers.
+        "CachedTrace",
         "Inserted",
         "Evicted",
         "Promoted",

@@ -64,6 +64,9 @@ class CacheStats:
     def check_invariants(self) -> None:
         """Verify counter consistency (every replay engine runs this
         at the end of a replay, so it must hold under ``python -O``).
+        The batched loop takes ``accesses`` from the log's own total
+        and counts hits and misses itself, so there the first check
+        compares two independent counts.
 
         Raises:
             InvariantViolation: when hits and misses do not add up to

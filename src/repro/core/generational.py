@@ -14,10 +14,12 @@ regenerated if executed again.  Each cache runs the paper's
 pseudo-circular local policy (configurable).
 
 The entry point mirroring Figure 8's ``insertNewTrace`` is
-:meth:`GenerationalCacheManager._insert_new_trace`; unlike the
-pseudocode, the implementation handles the general case where placing
-one trace displaces *several* residents, cascading each displacement
-through the same promotion rules.
+:meth:`GenerationalCacheManager.insert`; unlike the pseudocode, the
+implementation handles the general case where placing one trace
+displaces *several* residents, cascading each displacement through the
+same promotion rules.  A promotion moves the trace's record: the
+caches' one placement primitive, :meth:`CodeCache.admit`, places the
+record the junior cache released instead of allocating a new one.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ class GenerationalCacheManager(CacheManager):
     """Nursery / probation / persistent hierarchy."""
 
     # Every residency change (insert cascades, promotions, unmaps)
-    # emits its effect, so the effect stream is complete.
+    # emits its effect, so the effect stream is complete, and every
+    # promotion admits the record it moves.
     fastpath_safe = True
 
     def __init__(self, total_capacity: int, config: GenerationalConfig) -> None:
@@ -158,84 +161,60 @@ class GenerationalCacheManager(CacheManager):
         self, trace_id: int, size: int, module_id: int, time: int
     ) -> list[Effect]:
         """Insert a newly generated trace into the nursery, cascading
-        displaced traces per the generational rules."""
+        displaced traces per the generational rules.
+
+        This is Figure 8's ``insertNewTrace``, generalized to
+        multi-victim placements (see :meth:`_cascade`).  A trace too
+        large for the nursery (possible under extreme proportions) is
+        placed directly in the largest cache that fits it, so an
+        oversized trace degrades placement instead of aborting the
+        run.  A trace no cache can hold stays uncached — the system
+        executes it from the basic-block cache, paying a regeneration
+        on every entry."""
         effects: list[Effect] = []
-        self._insert_new_trace(trace_id, size, module_id, time, effects)
+        target = self.nursery
+        if size > target.capacity:
+            fitting = [c for c in self.caches() if c.capacity >= size]
+            if not fitting:
+                return effects  # uncacheable: no cache will ever hold it
+            target = max(fitting, key=lambda cache: cache.capacity)
+        trace = CachedTrace(trace_id, size, module_id, time, 0, time, False)
+        victims = target.admit(trace, time)
+        effects.append(Inserted(trace_id=trace_id, size=size, cache=target.name))
+        if victims:
+            self._cascade(target, victims, time, effects)
         return effects
 
-    def _insert_new_trace(
+    def _cascade(
         self,
-        trace_id: int,
-        size: int,
-        module_id: int,
+        cache: CodeCache,
+        victims: list[CachedTrace],
         time: int,
         effects: list[Effect],
     ) -> None:
-        """The Figure 8 algorithm, generalized to multi-victim
-        placements: every trace the nursery placement displaces is
-        promoted to probation; every trace *that* displaces either
-        graduates to the persistent cache (if its probation hit count
-        met the threshold) or dies; persistent victims die.
-
-        A trace too large for the nursery (possible under extreme
-        proportions) is placed directly in the largest cache that fits
-        it, so an oversized trace degrades placement instead of
-        aborting the run.  A trace no cache can hold stays uncached —
-        the system executes it from the basic-block cache, paying a
-        regeneration on every entry."""
-        if size > self.nursery.capacity:
-            fitting = [c for c in self.caches() if c.capacity >= size]
-            if not fitting:
-                return  # uncacheable: no cache will ever hold it
-            fallback = max(fitting, key=lambda cache: cache.capacity)
-            result = fallback.insert(trace_id, size, module_id, time)
-            effects.append(
-                Inserted(trace_id=trace_id, size=size, cache=fallback.name)
-            )
-            for victim in result.evicted:
-                if fallback is self.probation:
-                    self._handle_probation_eviction(victim, time, effects)
-                else:
-                    effects.append(
-                        Evicted(
-                            trace_id=victim.trace_id,
-                            size=victim.size,
-                            cache=fallback.name,
-                            reason=EvictionReason.CAPACITY,
-                        )
+        """Route the traces a placement in *cache* displaced: nursery
+        victims come of age and move to probation; a probation victim
+        graduates to the persistent cache (on-eviction mode, hit count
+        at the threshold, Section 5.3) or dies; persistent victims
+        die."""
+        for victim in victims:
+            if cache is self.nursery:
+                self._promote(victim, cache, self.probation, time, effects)
+            elif (
+                cache is self.probation
+                and not self._promote_on_hit
+                and victim.access_count >= self._threshold
+            ):
+                self._promote(victim, cache, self.persistent, time, effects)
+            else:
+                effects.append(
+                    Evicted(
+                        trace_id=victim.trace_id,
+                        size=victim.size,
+                        cache=cache.name,
+                        reason=EvictionReason.CAPACITY,
                     )
-            return
-        result = self.nursery.insert(trace_id, size, module_id, time)
-        effects.append(Inserted(trace_id=trace_id, size=size, cache=NURSERY))
-        for victim in result.evicted:
-            self._handle_nursery_eviction(victim, time, effects)
-
-    def _handle_nursery_eviction(
-        self, victim: CachedTrace, time: int, effects: list[Effect]
-    ) -> None:
-        """A trace has 'come of age' (evicted from the nursery): move
-        it to the probation cache."""
-        self._promote(victim, self.nursery, self.probation, time, effects)
-
-    def _handle_probation_eviction(
-        self, victim: CachedTrace, time: int, effects: list[Effect]
-    ) -> None:
-        """Probation eviction: graduate or die (Section 5.3)."""
-        should_promote = (
-            self.config.promotion_mode is PromotionMode.ON_EVICTION
-            and victim.access_count >= self.config.promotion_threshold
-        )
-        if should_promote:
-            self._promote(victim, self.probation, self.persistent, time, effects)
-        else:
-            effects.append(
-                Evicted(
-                    trace_id=victim.trace_id,
-                    size=victim.size,
-                    cache=PROBATION,
-                    reason=EvictionReason.CAPACITY,
                 )
-            )
 
     def _promote(
         self,
@@ -245,13 +224,14 @@ class GenerationalCacheManager(CacheManager):
         time: int,
         effects: list[Effect],
     ) -> None:
-        """Relocate *trace* from *src* to *dst*, cascading the traces
-        the relocation displaces.
+        """Move the record *trace* from *src* to *dst*, cascading the
+        traces the placement displaces.
 
         The trace may already be detached from *src* (when it arrived
-        here as an eviction victim); if still resident it is removed
-        first.  A trace too large for *dst* cannot be relocated and is
-        deleted instead.
+        here as an eviction victim); if still resident (an on-hit
+        promotion) it is removed first.  :meth:`CodeCache.admit`
+        places the same record, so the pin travels with it.  A trace
+        too large for *dst* cannot be relocated and is deleted instead.
         """
         if trace.trace_id in src:
             src.remove(trace.trace_id)
@@ -265,12 +245,7 @@ class GenerationalCacheManager(CacheManager):
                 )
             )
             return
-        result = dst.insert(trace.trace_id, trace.size, trace.module_id, time)
-        # Promotion preserves the pin — an undeletable trace is never a
-        # local-policy victim, so this path only runs for on-hit
-        # promotions of unpinned traces; the guard is belt-and-braces.
-        if trace.pinned:
-            dst.pin(trace.trace_id)
+        victims = dst.admit(trace, time)
         effects.append(
             Promoted(
                 trace_id=trace.trace_id,
@@ -279,15 +254,5 @@ class GenerationalCacheManager(CacheManager):
                 dst=dst.name,
             )
         )
-        for victim in result.evicted:
-            if dst is self.probation:
-                self._handle_probation_eviction(victim, time, effects)
-            else:  # dst is self.persistent
-                effects.append(
-                    Evicted(
-                        trace_id=victim.trace_id,
-                        size=victim.size,
-                        cache=PERSISTENT,
-                        reason=EvictionReason.CAPACITY,
-                    )
-                )
+        if victims:
+            self._cascade(dst, victims, time, effects)

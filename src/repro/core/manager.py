@@ -45,8 +45,14 @@ class CacheManager(abc.ABC):
     #: The fast path tracks residency purely from the effect stream, so
     #: it is only sound when *every* residency change the manager makes
     #: is reported as an :class:`Inserted`, :class:`Evicted`, or
-    #: :class:`Promoted` effect.  Subclasses honouring that contract
-    #: set this True; anything else replays on the object path.
+    #: :class:`Promoted` effect.  A :class:`Promoted` effect must also
+    #: move the same :class:`~repro.policies.base.CachedTrace` record
+    #: (:meth:`~repro.policies.base.CodeCache.admit` of the record the
+    #: source cache released): the fast path carries the record over
+    #: from the trace's current entry instead of looking it up again,
+    #: and its end-of-replay drift check fails a manager that breaks
+    #: this.  Subclasses honouring that contract set this True;
+    #: anything else replays on the object path.
     fastpath_safe: bool = False
 
     @abc.abstractmethod

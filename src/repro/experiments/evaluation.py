@@ -33,6 +33,7 @@ class BenchmarkEvaluation:
         capacity: Total cache budget used (bytes).
         unified: Baseline result.
         generational: Results keyed by config label.
+        configs: The config behind each label of :attr:`generational`.
     """
 
     benchmark: str
@@ -40,6 +41,7 @@ class BenchmarkEvaluation:
     capacity: int
     unified: SimulationResult
     generational: dict[str, SimulationResult] = field(default_factory=dict)
+    configs: dict[str, GenerationalConfig] = field(default_factory=dict)
 
     def reduction(self, label: str) -> float:
         """Figure 9's metric for one config (fraction)."""
@@ -85,6 +87,7 @@ def evaluate_benchmark(
         evaluation.generational[config.label()] = simulate_log(
             log, manager, cost_model
         )
+        evaluation.configs[config.label()] = config
     return evaluation
 
 

@@ -129,12 +129,15 @@ def run_all(
             bench = sweep_benchmark
             if subset and bench not in subset:
                 bench = subset[0]
+            # An earlier evaluation pass already replayed the baseline
+            # and Figure 9's layouts on this log; the sweep reads them.
             results.append(
                 sweep.run(
                     benchmark=bench,
                     dataset=dataset,
                     seed=seed,
                     scale_multiplier=scale_multiplier,
+                    evaluation=evaluations.get(bench) if evaluations else None,
                 )
             )
         elif experiment_id == "capacity":

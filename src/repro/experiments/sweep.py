@@ -19,7 +19,7 @@ from repro.core.generational import GenerationalCacheManager
 from repro.core.unified import UnifiedCacheManager
 from repro.experiments.base import ExperimentResult, attach_provenance
 from repro.experiments.dataset import WorkloadDataset
-from repro.experiments.evaluation import baseline_capacity
+from repro.experiments.evaluation import BenchmarkEvaluation, baseline_capacity
 
 #: (nursery, probation, persistent) proportion grid.
 PROPORTION_GRID: tuple[tuple[float, float, float], ...] = (
@@ -44,6 +44,7 @@ def run(
     thresholds: tuple[int, ...] = THRESHOLD_GRID,
     jobs: int = 1,
     store=None,
+    evaluation: BenchmarkEvaluation | None = None,
 ) -> ExperimentResult:
     """Sweep the configuration space for one benchmark.
 
@@ -52,6 +53,11 @@ def run(
     :mod:`repro.service` worker pool; each cell replays the same
     deterministic log, so the assembled table is identical to a serial
     sweep.
+
+    A serial sweep handed *evaluation* — the Figure 9 pass over the
+    same *dataset* — reads the unified baseline and every cell whose
+    config that pass already replayed at the same capacity, instead of
+    replaying them again.
     """
     if jobs > 1 and dataset is None:
         rates, capacity = _parallel_rates(
@@ -61,7 +67,7 @@ def run(
     else:
         rates, capacity = _serial_rates(
             benchmark, dataset, seed, scale_multiplier, proportions,
-            thresholds,
+            thresholds, evaluation,
         )
     unified_rate = rates["unified"]
 
@@ -130,16 +136,33 @@ def _serial_rates(
     scale_multiplier: float,
     proportions: tuple[tuple[float, float, float], ...],
     thresholds: tuple[int, ...],
+    evaluation: BenchmarkEvaluation | None = None,
 ) -> tuple[dict, int]:
-    """Simulate every grid cell in-process; miss rates keyed by cell."""
+    """Simulate every grid cell in-process; miss rates keyed by cell.
+
+    Cells *evaluation* already replayed (same benchmark and capacity,
+    equal config) take its miss rates: the cost model it ran with
+    prices effects but never changes them.
+    """
     dataset = dataset or WorkloadDataset(
         seed=seed, scale_multiplier=scale_multiplier, subset=[benchmark]
     )
     log = dataset.compiled(benchmark)
     capacity = baseline_capacity(dataset.stats(benchmark).total_trace_bytes)
-    rates: dict = {
-        "unified": simulate_log(log, UnifiedCacheManager(capacity)).miss_rate
-    }
+    if (
+        evaluation is not None
+        and evaluation.benchmark == benchmark
+        and evaluation.capacity == capacity
+    ):
+        unified_rate = evaluation.unified.miss_rate
+        replayed = {
+            evaluation.configs[label]: result.miss_rate
+            for label, result in evaluation.generational.items()
+        }
+    else:
+        unified_rate = simulate_log(log, UnifiedCacheManager(capacity)).miss_rate
+        replayed = {}
+    rates: dict = {"unified": unified_rate}
     for nursery, probation, persistent in proportions:
         for threshold in thresholds:
             mode = PromotionMode.ON_HIT if threshold == 1 else PromotionMode.ON_EVICTION
@@ -150,10 +173,11 @@ def _serial_rates(
                 promotion_threshold=threshold,
                 promotion_mode=mode,
             )
-            manager = GenerationalCacheManager(capacity, config)
-            rates[(nursery, probation, persistent, threshold)] = simulate_log(
-                log, manager
-            ).miss_rate
+            miss_rate = replayed.get(config)
+            if miss_rate is None:
+                manager = GenerationalCacheManager(capacity, config)
+                miss_rate = simulate_log(log, manager).miss_rate
+            rates[(nursery, probation, persistent, threshold)] = miss_rate
     return rates, capacity
 
 

@@ -93,6 +93,7 @@ class CompiledTraceLog:
         "size",
         "module",
         "repeat",
+        "_replayed",
     )
 
     def __init__(
@@ -110,6 +111,8 @@ class CompiledTraceLog:
         self.size = array("q")
         self.module = array("q")
         self.repeat = array("q")
+        # (records, total) memo of replayed_accesses().
+        self._replayed: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     # TraceLog-compatible summary API
@@ -147,6 +150,24 @@ class CompiledTraceLog:
     def n_accesses(self) -> int:
         """Total trace entries including compressed repeats."""
         return sum(self.repeat)
+
+    def replayed_accesses(self) -> int:
+        """Trace entries a replay visits: the repeat column (0 on every
+        non-access record) summed up to the first end record, where
+        replay stops.
+
+        The replay loop reports this as ``CacheStats.accesses``, so the
+        end-of-replay check of hits plus misses against it compares
+        two independent counts.  Computed once per log (recomputed
+        only if the columns grew since).
+        """
+        n = len(self.op)
+        memo = self._replayed
+        if memo is None or memo[0] != n:
+            end = self.op.tobytes().find(OP_END)
+            repeat = self.repeat if end < 0 else self.repeat[:end]
+            memo = self._replayed = (n, sum(repeat))
+        return memo[1]
 
     # ------------------------------------------------------------------
     # Row/record iteration

@@ -7,18 +7,25 @@ restructured for throughput:
 * **table dispatch** over the packed opcode column — integer compares
   against hoisted opcode constants instead of one ``isinstance`` chain
   per record object;
-* **no residency lookups** — a ``trace_id -> cache_name`` map is
-  maintained from the manager's own effect stream, replacing
-  ``manager.lookup`` (a per-access scan over every cache) with one dict
-  probe.  This is only sound for managers whose effect streams fully
-  describe residency, declared via
-  :attr:`repro.core.manager.CacheManager.fastpath_safe`;
-* **batched hits** — a resident access calls the manager's
-  :meth:`~repro.core.manager.CacheManager.hit_resident` fast hook
-  (touch + promotion check, no ``AccessOutcome`` allocation, no cache
-  scan) once per compressed record, never materializing per-entry hits;
+* **no residency lookups** — a ``trace_id -> (tally, handler,
+  record)`` map is maintained from the manager's own effect stream,
+  replacing ``manager.lookup`` (a per-access scan over every cache)
+  with one dict probe.  An insertion looks its record up once; a
+  promotion carries the record over from the trace's current entry,
+  because a promotion moves the record.  This is only sound for
+  managers whose effect streams fully describe residency, declared via
+  :attr:`repro.core.manager.CacheManager.fastpath_safe`, and a drift
+  check at the end of every replay verifies the map against the
+  caches;
+* **batched hits** — a resident access either touches its record in
+  place (plain caches) or calls the cache's bound hit handler (touch +
+  promotion check, no ``AccessOutcome`` allocation, no cache scan)
+  once per compressed record, never materializing per-entry hits, and
+  bumps one per-cache hit counter held in its entry;
 * **local stats accumulation** — counters live in local variables for
-  the whole replay and are flushed into :class:`CacheStats` once.
+  the whole replay and are flushed into :class:`CacheStats` once;
+  ``accesses`` is the log's own total, so the stats check compares two
+  independent counts.
 
 Overhead-account charges happen in exactly the object path's order, so
 float accumulation — and therefore every experiment table — is
@@ -36,7 +43,7 @@ import os
 from typing import TYPE_CHECKING
 
 from repro.core.effects import Evicted, EvictionReason, Inserted, Promoted
-from repro.errors import LogFormatError
+from repro.errors import InvariantViolation, LogFormatError
 from repro.fastpath.compiled import (
     OP_ACCESS,
     OP_CREATE,
@@ -98,11 +105,27 @@ class object_path:
         _ENABLED = self._was
 
 
+class _Tally:
+    """One managed cache's hit counter, shared by every residency
+    entry of that cache, so a resident hit is one attribute bump."""
+
+    __slots__ = ("name", "cache", "hits")
+
+    def __init__(self, cache) -> None:
+        self.name = cache.name
+        self.cache = cache
+        self.hits = 0
+
+
 def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
     """Replay *compiled* into *sim*'s manager, stats, and ledger.
 
     The caller (:meth:`CacheSimulator.run`) guarantees no sanitizer is
     attached and ``sim.manager.fastpath_safe`` is true.
+
+    Raises:
+        InvariantViolation: ``fastpath-residency`` when the residency
+            map drifted from the caches by the end of the replay.
     """
     manager = sim.manager
     account = sim.account
@@ -118,31 +141,30 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
         ev_per, ev_base = model.eviction_per_byte, model.eviction_base
         pr_per, pr_base = model.promotion_per_byte, model.promotion_base
 
-    # One prototype entry per managed cache, resolved once.  A *plain*
-    # cache (hits are exactly a trace-record touch) carries the cache
-    # object so folding an insertion can capture the live CachedTrace;
-    # the loop then mutates that record in place — no call at all.
-    # Anything else carries a bound hit handler, and its prototype
-    # doubles as the (shared, immutable) resident entry.
+    # One (tally, handler) prototype per managed cache, resolved once.
+    # A *plain* cache (hits are exactly a trace-record touch) has no
+    # handler: the loop mutates the entry's CachedTrace in place, no
+    # call at all.  Anything else carries its bound hit handler.
     plain_names = manager.plain_hit_caches()
-    entries: dict[str, tuple] = {}
-    for cache in manager.caches():
-        if cache.name in plain_names:
-            entries[cache.name] = (cache.name, None, cache)
-        else:
-            entries[cache.name] = (cache.name, manager.hit_handler(cache.name), None)
+    tallies = [_Tally(cache) for cache in manager.caches()]
+    protos: dict[str, tuple] = {
+        tally.name: (
+            tally,
+            None if tally.name in plain_names else manager.hit_handler(tally.name),
+        )
+        for tally in tallies
+    }
 
     # trace_id -> (size, module_id) of every trace ever created.
     known: dict[int, tuple[int, int]] = {}
-    # trace_id -> (cache name, handler | None, CachedTrace | None),
-    # maintained purely from the effect stream.
+    # trace_id -> (tally, handler | None, CachedTrace), maintained
+    # purely from the effect stream.
     resident: dict[int, tuple] = {}
     pending_pins: set[int] = set()
 
-    hits = misses = creations = 0
+    misses = creations = 0
     evictions = unmap_evictions = flush_evictions = 0
     evicted_bytes = promotions = promoted_bytes = 0
-    hits_by_cache: dict[str, int] = {}
 
     def fold(effects) -> None:
         """Residency + counter update + effect pricing, in the same
@@ -153,17 +175,14 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
         for effect in effects:
             kind = type(effect)
             if kind is Inserted:
-                proto = entries[effect.cache]
-                cache = proto[2]
-                if cache is None:
-                    resident[effect.trace_id] = proto
-                else:
-                    # find, not get: the cascade may already have
-                    # evicted this trace again — a later Evicted
-                    # effect in this batch then pops the entry, and
-                    # no access can land in between.
-                    trace = cache.find(effect.trace_id)
-                    resident[effect.trace_id] = (proto[0], None, trace)
+                tally, handler = protos[effect.cache]
+                # find, not get: the cascade may already have evicted
+                # this trace again — a later Evicted effect in this
+                # batch then pops the entry, and no access can land
+                # in between.
+                resident[effect.trace_id] = (
+                    tally, handler, tally.cache.find(effect.trace_id)
+                )
             elif kind is Evicted:
                 resident.pop(effect.trace_id, None)
                 reason = effect.reason
@@ -177,13 +196,11 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
                 if account is not None:
                     account.evictions += ev_per * effect.size + ev_base
             else:  # Promoted
-                proto = entries[effect.dst]
-                cache = proto[2]
-                if cache is None:
-                    resident[effect.trace_id] = proto
-                else:
-                    trace = cache.find(effect.trace_id)
-                    resident[effect.trace_id] = (proto[0], None, trace)
+                # A promotion moves the record (the fastpath_safe
+                # contract), so the entry carries it over: no lookup.
+                trace_id = effect.trace_id
+                tally, handler = protos[effect.dst]
+                resident[trace_id] = (tally, handler, resident[trace_id][2])
                 promotions += 1
                 promoted_bytes += effect.size
                 if account is not None:
@@ -210,8 +227,8 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
             entry = resident_get(trace_id)
             if entry is not None:
                 # Hot path: a resident access.
-                cache_name, handler, trace = entry
-                if trace is not None:
+                tally, handler, trace = entry
+                if handler is None:
                     # Plain hit: mutate the trace record in place.
                     trace.access_count += repeat
                     trace.last_access = time
@@ -219,11 +236,7 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
                     effects = handler(trace_id, time, repeat)
                     if effects:
                         fold(effects)
-                hits += repeat
-                if cache_name in hits_by_cache:
-                    hits_by_cache[cache_name] += repeat
-                else:
-                    hits_by_cache[cache_name] = repeat
+                tally.hits += repeat
             else:
                 info = known_get(trace_id)
                 if info is None:
@@ -250,19 +263,15 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
                             for _ in range(remaining):
                                 charge_creation(size)
                     else:
-                        cache_name, handler, trace = entry
-                        if trace is not None:
+                        tally, handler, trace = entry
+                        if handler is None:
                             trace.access_count += remaining
                             trace.last_access = time
                         else:
                             effects = handler(trace_id, time, remaining)
                             if effects:
                                 fold(effects)
-                        hits += remaining
-                        if cache_name in hits_by_cache:
-                            hits_by_cache[cache_name] += remaining
-                        else:
-                            hits_by_cache[cache_name] = remaining
+                        tally.hits += remaining
         elif op == OP_CREATE:
             known[trace_id] = (size, module_id)
             creations += 1
@@ -288,11 +297,15 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
         else:  # OP_END
             break
 
-    # Every access entry lands in exactly one of hits/misses, so the
-    # loop skips the per-record access counter.
-    stats.accesses += hits + misses
-    stats.hits += hits
+    _check_residency(resident, tallies)
+
+    # accesses comes from the log itself, so CacheStats.check_invariants
+    # compares it against the loop's own hits + misses.
+    stats.accesses += compiled.replayed_accesses()
     stats.misses += misses
+    for tally in tallies:
+        if tally.hits:
+            stats.record_hit(tally.name, tally.hits)
     stats.creations += creations
     stats.evictions += evictions
     stats.unmap_evictions += unmap_evictions
@@ -300,10 +313,33 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
     stats.promotions += promotions
     stats.evicted_bytes += evicted_bytes
     stats.promoted_bytes += promoted_bytes
-    for cache_name, count in hits_by_cache.items():
-        stats.hits_by_cache[cache_name] = (
-            stats.hits_by_cache.get(cache_name, 0) + count
-        )
 
     FASTPATH_TOTALS["fast_replays"] += 1
     FASTPATH_TOTALS["records_replayed"] += n
+
+
+def _check_residency(resident: dict[int, tuple], tallies: list[_Tally]) -> None:
+    """The residency map must hold exactly the caches' residents: every
+    entry's cache holds its trace, every entry carries that cache's
+    live record, and the counts agree.
+
+    Raises:
+        InvariantViolation: on any drift between the map and the caches.
+    """
+    for trace_id, (tally, _, trace) in resident.items():
+        live = tally.cache.find(trace_id)
+        if live is None or live is not trace:
+            raise InvariantViolation(
+                "fastpath-residency",
+                f"residency map entry for trace {trace_id} disagrees "
+                f"with cache {tally.name!r}",
+                cache=tally.name,
+                trace_id=trace_id,
+            )
+    copies = sum(tally.cache.n_traces for tally in tallies)
+    if len(resident) != copies:
+        raise InvariantViolation(
+            "fastpath-residency",
+            f"residency map holds {len(resident)} entries but the caches "
+            f"hold {copies} traces",
+        )

@@ -72,8 +72,8 @@ class CodeCache(abc.ABC):
         self.name = name
         self.arena = Arena(capacity)
         self._traces: dict[int, CachedTrace] = {}
-        # Live count of pinned residents; all pin-flag writes go
-        # through pin()/unpin(), so the count lets hot paths skip the
+        # Live count of pinned residents; pin()/unpin(), admit() and
+        # _drop() keep it exact, so the count lets hot paths skip the
         # per-victim pinned scan when nothing is pinned at all.
         self._pinned_count = 0
         # Policies that track recency (LRU, oracle) override
@@ -159,30 +159,51 @@ class CodeCache(abc.ABC):
         module_id: int,
         time: int = 0,
     ) -> InsertResult:
-        """Insert a trace, evicting as the policy dictates.
+        """Insert a newly generated trace: a new record, then
+        :meth:`admit`.
 
         Raises:
             DuplicateTraceError: if the trace is already resident.
             TraceTooLargeError: if it can never fit.
             CacheFullError: if pinned traces block every placement.
         """
+        trace = CachedTrace(trace_id, size, module_id, time, 0, time, False)
+        return InsertResult(inserted=trace, evicted=self.admit(trace, time))
+
+    def admit(self, trace: CachedTrace, time: int) -> list[CachedTrace]:
+        """Place the detached record *trace*, evicting as the policy
+        dictates — the one placement primitive.
+
+        A generational promotion admits the record it took out of the
+        junior cache, so a trace keeps one :class:`CachedTrace` from
+        creation to deletion.  Placement restarts the per-cache
+        counters (``insert_time``, ``access_count``, ``last_access``)
+        and keeps the pin.
+
+        Returns:
+            The evicted records, in eviction order.
+
+        Raises:
+            DuplicateTraceError: if the trace is already resident.
+            TraceTooLargeError: if it can never fit.
+            CacheFullError: if pinned traces block every placement.
+        """
+        trace_id = trace.trace_id
         if trace_id in self._traces:
             raise DuplicateTraceError(
                 f"trace {trace_id} already resident in cache {self.name!r}"
             )
-        trace = CachedTrace(
-            trace_id=trace_id,
-            size=size,
-            module_id=module_id,
-            insert_time=time,
-            last_access=time,
-        )
+        trace.insert_time = time
+        trace.access_count = 0
+        trace.last_access = time
         start, evicted_ids = self._allocate(trace)
         evicted = [self._drop(eid) for eid in evicted_ids]
-        self.arena.place(trace_id, start, size)
+        self.arena.place(trace_id, start, trace.size)
         self._traces[trace_id] = trace
+        if trace.pinned:
+            self._pinned_count += 1
         self._after_insert(trace, start)
-        return InsertResult(inserted=trace, evicted=evicted)
+        return evicted
 
     def touch(self, trace_id: int, time: int, count: int = 1) -> CachedTrace:
         """Record *count* accesses to a resident trace at *time*."""
@@ -218,10 +239,11 @@ class CodeCache(abc.ABC):
         return ()
 
     def remove(self, trace_id: int) -> CachedTrace:
-        """Program-forced removal (unmapped module or an explicit
-        promotion move).  Leaves a hole; ignores pinning because an
-        unmapped trace *must* go (the paper notes such evictions
-        inherently violate the circular policy)."""
+        """Program-forced removal (unmapped module, or the first half
+        of a promotion that :meth:`admit` completes in another cache).
+        Leaves a hole; ignores pinning because an unmapped trace *must*
+        go (the paper notes such evictions inherently violate the
+        circular policy)."""
         trace = self._drop(trace_id)
         self._after_remove(trace)
         return trace

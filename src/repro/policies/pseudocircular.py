@@ -18,7 +18,7 @@ bend the pure circle:
 from __future__ import annotations
 
 from repro.errors import CacheFullError, DuplicateTraceError, TraceTooLargeError
-from repro.policies.base import CachedTrace, CodeCache, InsertResult
+from repro.policies.base import CachedTrace, CodeCache
 
 
 class PseudoCircularCache(CodeCache):
@@ -35,11 +35,11 @@ class PseudoCircularCache(CodeCache):
         super().__init__(capacity, name)
         self._pointer = 0
         self.fill_holes = fill_holes
-        # The fused insert below hand-inlines _allocate's steady state
+        # The fused admit below hand-inlines _allocate's steady state
         # and the pointer bump; a subclass overriding either hook gets
         # the general path so its overrides keep working.
         cls = type(self)
-        self._fused_insert = (
+        self._fused_admit = (
             not fill_holes
             and cls._allocate is PseudoCircularCache._allocate
             and cls._after_insert is PseudoCircularCache._after_insert
@@ -50,14 +50,8 @@ class PseudoCircularCache(CodeCache):
         """The current insertion/eviction offset."""
         return self._pointer
 
-    def insert(
-        self,
-        trace_id: int,
-        size: int,
-        module_id: int,
-        time: int = 0,
-    ) -> InsertResult:
-        """The steady-state insertion, fused into one pass.
+    def admit(self, trace: CachedTrace, time: int) -> list[CachedTrace]:
+        """The steady-state placement, fused into one pass.
 
         With no pinned residents and hole-filling off, the placement
         window is exactly ``[pointer, pointer + size)`` (wrapped once
@@ -65,21 +59,23 @@ class PseudoCircularCache(CodeCache):
         is evicted — no reset loop can trigger, so the generic
         allocate / drop-each-victim / place pipeline collapses into a
         single :meth:`~repro.policies.arena.Arena.displace` call.
-        Inserts dominate replay wall time at the paper's capacity
+        Placements dominate replay wall time at the paper's capacity
         pressure, which is why this path is worth the duplication; any
-        pinned trace or configuration wrinkle defers to the general
+        pinned resident or configuration wrinkle defers to the general
         implementation, and the outcome is identical either way (the
         equivalence suite replays both against each other).
         """
-        if self._pinned_count or not self._fused_insert:
-            return super().insert(trace_id, size, module_id, time)
+        if self._pinned_count or not self._fused_admit:
+            return super().admit(trace, time)
         traces = self._traces
+        trace_id = trace.trace_id
         if trace_id in traces:
             raise DuplicateTraceError(
                 f"trace {trace_id} already resident in cache {self.name!r}"
             )
         arena = self.arena
         capacity = arena.capacity
+        size = trace.size
         if size > capacity:
             raise TraceTooLargeError(
                 f"trace {trace_id} ({size} B) exceeds cache "
@@ -89,12 +85,15 @@ class PseudoCircularCache(CodeCache):
         if pointer + size > capacity:
             pointer = 0
         victims = arena.displace(trace_id, pointer, size)
-        trace = CachedTrace(trace_id, size, module_id, time, 0, time, False)
+        trace.insert_time = time
+        trace.access_count = 0
+        trace.last_access = time
         traces[trace_id] = trace
-        evicted = [traces.pop(v.trace_id) for v in victims] if victims else []
+        if trace.pinned:
+            self._pinned_count += 1
         pointer += size
         self._pointer = 0 if pointer >= capacity else pointer
-        return InsertResult(inserted=trace, evicted=evicted)
+        return [traces.pop(v.trace_id) for v in victims] if victims else []
 
     def _allocate(self, trace: CachedTrace) -> tuple[int, list[int]]:
         size = trace.size

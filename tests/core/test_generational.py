@@ -246,3 +246,100 @@ class TestNaming:
         assert [c.name for c in manager.caches()] == [
             "nursery", "probation", "persistent",
         ]
+
+
+class TestPromotionsMoveTheRecord:
+    """A promotion admits the record the junior cache released, so a
+    trace keeps one CachedTrace from creation to deletion."""
+
+    def test_one_record_from_nursery_to_persistent(self):
+        manager = make_manager(threshold=1, mode=PromotionMode.ON_HIT)
+        fill_nursery(manager, 3)
+        record = manager.nursery.get(0)
+        manager.on_hit(0, time=2, count=4)
+        assert (record.access_count, record.last_access) == (4, 2)
+        manager.insert(3, 100, 0, time=3)  # 0 comes of age
+        assert manager.probation.get(0) is record
+        assert (record.insert_time, record.access_count, record.last_access) == (
+            3, 0, 3,
+        )
+        manager.on_hit(0, time=10)  # single-hit promotion
+        assert manager.persistent.get(0) is record
+        assert (record.insert_time, record.access_count, record.last_access) == (
+            10, 0, 10,
+        )
+        manager.check_invariants()
+
+    def test_graduation_at_probation_eviction_moves_the_record(self):
+        manager = make_manager(threshold=1, mode=PromotionMode.ON_EVICTION)
+        fill_nursery(manager, 3)
+        manager.insert(3, 100, 0, time=3)  # 0 -> probation
+        record = manager.probation.get(0)
+        manager.on_hit(0, time=5)
+        for trace_id in range(4, 11):
+            manager.insert(trace_id, 100, 0, time=trace_id)
+        assert manager.persistent.get(0) is record
+        assert record.access_count == 0
+        assert record.insert_time == record.last_access >= 4
+        manager.check_invariants()
+
+    def test_pinned_probation_trace_is_not_promoted_on_hit(self):
+        manager = make_manager(threshold=1, mode=PromotionMode.ON_HIT)
+        fill_nursery(manager, 3)
+        manager.insert(3, 100, 0, time=3)  # 0 -> probation
+        manager.pin(0)
+        assert manager.on_hit(0, time=10).effects == []
+        assert manager.lookup(0) == "probation"
+
+    def test_on_hit_promotion_of_a_pinned_trace_keeps_the_pin(self):
+        # The public hit path never promotes a pinned trace (see the
+        # test above); the promotion routine it calls must still carry
+        # a pin, and the pinned counts, across the move.
+        manager = make_manager(threshold=1, mode=PromotionMode.ON_HIT)
+        fill_nursery(manager, 3)
+        manager.insert(3, 100, 0, time=3)  # 0 -> probation
+        manager.pin(0)
+        record = manager.probation.get(0)
+        effects = []
+        manager._promote(
+            record, manager.probation, manager.persistent, 10, effects
+        )
+        assert effects == [
+            Promoted(trace_id=0, size=100, src="probation", dst="persistent")
+        ]
+        assert manager.persistent.get(0) is record
+        assert record.pinned
+        assert manager.probation._pinned_count == 0
+        assert manager.persistent._pinned_count == 1
+        for cache in manager.caches():
+            cache.check_invariants()
+        manager.check_invariants()
+        # Still undeletable in its new home: persistent churn evicts
+        # around it.
+        churn = []
+        for round_no in range(1, 5):
+            base = round_no * 10
+            fill_nursery(manager, 3, base=base)
+            churn.extend(manager.insert(base + 3, 100, 0, time=base + 3))
+            for trace_id in range(base, base + 4):
+                if manager.lookup(trace_id) == "probation":
+                    churn.extend(manager.on_hit(trace_id, time=base + 5).effects)
+        assert any(
+            isinstance(e, Evicted) and e.cache == "persistent" for e in churn
+        )
+        assert manager.persistent.get(0) is record
+        manager.check_invariants()
+
+    def test_oversized_fallback_admits_a_fresh_record(self):
+        config = GenerationalConfig(
+            nursery_fraction=0.10,
+            probation_fraction=0.10,
+            persistent_fraction=0.80,
+            promotion_threshold=1,
+        )
+        manager = GenerationalCacheManager(1000, config)
+        manager.insert(0, 500, 7, time=4)
+        record = manager.persistent.get(0)
+        assert (record.size, record.module_id, record.insert_time) == (500, 7, 4)
+        assert not record.pinned
+        manager.check_invariants()

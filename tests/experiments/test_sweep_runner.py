@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import sweep
 from repro.experiments.dataset import WorkloadDataset, quick_subset
+from repro.experiments.evaluation import evaluate_benchmark
 from repro.experiments.runner import ALL_EXPERIMENT_IDS, render_all, run_all
+from repro.fastpath import FASTPATH_TOTALS
+
+
+def replays() -> int:
+    """Replays so far in this process, down either path."""
+    return FASTPATH_TOTALS["fast_replays"] + FASTPATH_TOTALS["object_replays"]
 
 
 class TestSweep:
@@ -39,6 +48,54 @@ class TestSweep:
         probations = [float(r["Probation"]) for r in result.rows]
         assert probations == sorted(probations)
         assert all(int(r["BestThreshold"]) >= 1 for r in result.rows)
+
+
+class TestSweepReadsTheEvaluation:
+    """The serial sweep takes the unified baseline and Figure 9's three
+    layouts from an evaluation pass over the same log."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return WorkloadDataset(seed=5, scale_multiplier=32.0, subset=["gzip"])
+
+    def _sweep(self, dataset, evaluation=None):
+        before = replays()
+        result = sweep.run(
+            benchmark="gzip",
+            dataset=dataset,
+            seed=5,
+            scale_multiplier=32.0,
+            evaluation=evaluation,
+        )
+        return result, replays() - before
+
+    def test_same_table_with_four_fewer_replays(self, dataset):
+        standalone, replayed = self._sweep(dataset)
+        evaluation = evaluate_benchmark(dataset, "gzip")
+        reused, replayed_after = self._sweep(dataset, evaluation)
+        assert reused.rows == standalone.rows
+        assert reused.notes == standalone.notes
+        assert replayed == 1 + len(sweep.PROPORTION_GRID) * len(sweep.THRESHOLD_GRID)
+        assert replayed_after == replayed - 4
+
+    def test_capacity_mismatch_replays_every_cell(self, dataset):
+        standalone, replayed = self._sweep(dataset)
+        evaluation = evaluate_benchmark(dataset, "gzip")
+        skewed = dataclasses.replace(evaluation, capacity=evaluation.capacity + 1)
+        result, replayed_after = self._sweep(dataset, skewed)
+        assert result.rows == standalone.rows
+        assert replayed_after == replayed
+
+    def test_run_all_shares_the_evaluation_with_the_sweep(self):
+        kwargs = dict(seed=5, scale_multiplier=64.0, subset=quick_subset())
+        before = replays()
+        apart = run_all(experiment_ids=("figure-9",), **kwargs)
+        apart += run_all(experiment_ids=("sweep",), **kwargs)
+        separate = replays() - before
+        before = replays()
+        together = run_all(experiment_ids=("figure-9", "sweep"), **kwargs)
+        assert replays() - before == separate - 4
+        assert render_all(together) == render_all(apart)
 
 
 class TestRunner:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CacheFullError, DuplicateTraceError, TraceTooLargeError
+from repro.policies.base import CachedTrace
 from repro.policies.pseudocircular import PseudoCircularCache
+from repro.rand import Random
 
 
 def fill_sequential(cache: PseudoCircularCache, n: int, size: int = 100):
@@ -177,3 +179,104 @@ class TestInvariantsUnderChurn:
                 cache.unpin(trace_id - 5)
             cache.check_invariants()
         assert cache.used_bytes <= cache.capacity
+
+
+class GeneralPathCache(PseudoCircularCache):
+    """Overriding a placement hook opts out of the fused admit, so this
+    cache places through the general allocate/drop/place pipeline with
+    the same policy."""
+
+    def _allocate(self, trace):
+        return super()._allocate(trace)
+
+
+def detached(trace_id: int, size: int, pinned: bool = False) -> CachedTrace:
+    """A record as a promotion hands it over: stale counters, maybe a
+    pin."""
+    return CachedTrace(
+        trace_id, size, module_id=3, insert_time=1, access_count=9,
+        last_access=2, pinned=pinned,
+    )
+
+
+class TestAdmit:
+    def test_admit_places_the_given_record_with_fresh_counters(self):
+        cache = PseudoCircularCache(1000)
+        record = detached(7, 100)
+        assert cache.admit(record, time=50) == []
+        assert cache.get(7) is record
+        assert (record.insert_time, record.access_count, record.last_access) == (
+            50, 0, 50,
+        )
+        assert cache.arena.placement_of(7).start == 0
+        assert cache.pointer == 100
+
+    def test_admit_keeps_the_pin_and_the_pinned_count(self):
+        for cache in (PseudoCircularCache(500), GeneralPathCache(500)):
+            record = detached(0, 100, pinned=True)
+            cache.admit(record, time=1)
+            assert cache.get(0).pinned
+            assert cache._pinned_count == 1
+            cache.check_invariants()
+            for trace_id in range(1, 12):
+                cache.insert(trace_id, 100, 0, time=trace_id)
+                cache.check_invariants()
+            assert cache.get(0) is record
+
+    def test_admit_returns_the_victim_records(self):
+        cache = PseudoCircularCache(300)
+        fill_sequential(cache, 3)
+        victims = [cache.get(0), cache.get(1)]
+        assert cache.admit(detached(9, 150), time=5) == victims
+        assert 0 not in cache and 1 not in cache
+
+    def test_admit_rejects_duplicates_and_oversized_records(self):
+        cache = PseudoCircularCache(300)
+        cache.insert(0, 100, 0)
+        with pytest.raises(DuplicateTraceError):
+            cache.admit(detached(0, 100), time=1)
+        with pytest.raises(TraceTooLargeError):
+            cache.admit(detached(1, 400), time=1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fused_and_general_paths_agree(self, seed):
+        """Same admits, removals and pins on the fused cache and on a
+        general-path twin: same victims, placements and pointer after
+        every step."""
+        rng = Random(seed)
+        fused, general = PseudoCircularCache(2000), GeneralPathCache(2000)
+        assert fused._fused_admit and not general._fused_admit
+        for step in range(300):
+            action = rng.random()
+            resident = fused.arena.trace_ids()
+            if action < 0.08 and resident:
+                victim = resident[rng.randrange(len(resident))]
+                fused.remove(victim)
+                general.remove(victim)
+            elif action < 0.12 and resident:
+                target = resident[rng.randrange(len(resident))]
+                if fused.get(target).pinned:
+                    fused.unpin(target)
+                    general.unpin(target)
+                elif fused._pinned_count < 2:
+                    fused.pin(target)
+                    general.pin(target)
+            else:
+                size = rng.randint(40, 260)
+                got = fused.admit(detached(1000 + step, size), time=step)
+                want = general.admit(detached(1000 + step, size), time=step)
+                assert [t.trace_id for t in got] == [t.trace_id for t in want]
+            assert fused.arena.placements() == general.arena.placements()
+            assert fused.pointer == general.pointer
+            fused.check_invariants()
+            general.check_invariants()
+
+    def test_hole_filling_matches_the_fused_path_without_holes(self):
+        fused = PseudoCircularCache(1000)
+        filling = PseudoCircularCache(1000, fill_holes=True)
+        for trace_id in range(40):
+            got = fused.admit(detached(trace_id, 300), time=trace_id)
+            want = filling.admit(detached(trace_id, 300), time=trace_id)
+            assert [t.trace_id for t in got] == [t.trace_id for t in want]
+            assert fused.arena.placements() == filling.arena.placements()
+
