@@ -30,7 +30,6 @@ from repro.analysis.whole.program import Program
 HOOK_METHODS = frozenset(
     {
         "on_hit",
-        "hit_resident",
         "hit_handler",
         "plain_hit_caches",
         "insert",

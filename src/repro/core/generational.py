@@ -105,24 +105,6 @@ class GenerationalCacheManager(CacheManager):
                 return AccessOutcome(cache=cache.name, effects=effects)
         raise KeyError(f"on_hit called for non-resident trace {trace_id}")
 
-    def hit_resident(
-        self, trace_id: int, time: int, count: int, cache_name: str
-    ) -> list[Effect] | tuple[()]:
-        """:meth:`on_hit` minus the residency scan — *cache_name* comes
-        from the fast path's effect-derived residency map."""
-        cache = self._by_name[cache_name]
-        trace = cache.touch_resident(trace_id, time, count)
-        if (
-            self._promote_on_hit
-            and cache is self.probation
-            and trace.access_count >= self._threshold
-            and not trace.pinned
-        ):
-            effects: list[Effect] = []
-            self._promote(trace, self.probation, self.persistent, time, effects)
-            return effects
-        return ()
-
     def hit_handler(self, cache_name: str):
         cache = self._by_name[cache_name]
         if cache is self.probation and self._promote_on_hit:

@@ -76,17 +76,6 @@ class CacheManager(abc.ABC):
         """Notify the manager that a resident trace was entered
         *count* consecutive times starting at *time*."""
 
-    def hit_resident(
-        self, trace_id: int, time: int, count: int, cache_name: str
-    ) -> list[Effect] | tuple[()]:
-        """Fast-path hit hook: like :meth:`on_hit`, but the caller
-        already knows the trace is resident in *cache_name* (from the
-        effect stream), so the implementation can skip the cache scan
-        and the :class:`AccessOutcome` allocation.  Returns only the
-        effect list (often the shared empty tuple).
-        """
-        return self.on_hit(trace_id, time, count).effects
-
     def hit_handler(self, cache_name: str):
         """Return the fast path's bound hit callable for *cache_name*:
         ``(trace_id, time, count) -> effects``.
@@ -95,11 +84,11 @@ class CacheManager(abc.ABC):
         calls it directly on every resident access, skipping the
         per-hit method dispatch.  Subclasses return the leanest
         callable that preserves :meth:`on_hit` semantics for hits
-        served by that cache.
+        served by that cache; this default is :meth:`on_hit` itself.
         """
 
         def handler(trace_id: int, time: int, count: int):
-            return self.hit_resident(trace_id, time, count, cache_name)
+            return self.on_hit(trace_id, time, count).effects
 
         return handler
 

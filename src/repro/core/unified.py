@@ -58,12 +58,6 @@ class UnifiedCacheManager(CacheManager):
         self._cache.touch(trace_id, time, count)
         return AccessOutcome(cache=self._cache.name, effects=[])
 
-    def hit_resident(
-        self, trace_id: int, time: int, count: int, cache_name: str
-    ) -> tuple[()]:
-        self._cache.touch_resident(trace_id, time, count)
-        return ()
-
     def hit_handler(self, cache_name: str):
         # Unified hits never emit effects: hand the cache's flat
         # touch-and-return-no-effects method straight to the loop.

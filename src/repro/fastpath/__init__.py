@@ -1,7 +1,7 @@
 """Compiled replay fast path.
 
-Three pieces, built for the ROADMAP goal of replaying the same verbose
-trace log against many cache configurations at production scale:
+Four pieces, built to replay the same verbose trace log against many
+cache configurations at production scale:
 
 * :mod:`repro.fastpath.compiled` — the packed struct-of-arrays trace
   log (:class:`CompiledTraceLog`), the only form the experiment path
@@ -12,6 +12,9 @@ trace log against many cache configurations at production scale:
   :func:`replay_compiled`, selected automatically by
   :class:`repro.cachesim.simulator.CacheSimulator` when the manager is
   ``fastpath_safe`` and no sanitizer is attached;
+* :mod:`repro.fastpath.residency` — the residency core that loop and
+  the fleet engine share: the effect fold :func:`fold_effects` and the
+  drift check :func:`check_residency`;
 * :mod:`repro.fastpath.artifacts` — the content-addressed on-disk
   cache of synthesized workloads (imported on demand:
   ``from repro.fastpath import artifacts``).
@@ -44,6 +47,7 @@ from repro.fastpath.replay import (
     object_path,
     replay_compiled,
 )
+from repro.fastpath.residency import check_residency, fold_effects
 
 __all__ = [
     "CompiledTraceLog",
@@ -54,12 +58,14 @@ __all__ = [
     "OP_PIN",
     "OP_UNMAP",
     "OP_UNPIN",
+    "check_residency",
     "log_columns",
     "compile_log",
     "disable_fastpath",
     "enable_fastpath",
     "ensure_compiled",
     "fastpath_enabled",
+    "fold_effects",
     "object_path",
     "pack_columns",
     "replay_compiled",

@@ -191,7 +191,9 @@ class CompiledTraceLog:
         compiles and lands here).
 
         Checks time ordering, that accesses/pins reference created
-        traces, and that repeats and sizes are positive.
+        traces, that access repeats and create sizes are positive, and
+        that every other record's repeat is 0 (the replay loop counts
+        accesses from the repeat column).
 
         Raises:
             LogOrderError: on the first offending record.
@@ -215,6 +217,10 @@ class CompiledTraceLog:
                     raise LogOrderError(
                         f"access to never-created trace {trace_id}"
                     )
+            elif repeat:
+                raise LogOrderError(
+                    f"non-access record (opcode {op}) with repeat {repeat}"
+                )
             elif op == OP_CREATE:
                 if size <= 0:
                     raise LogOrderError(

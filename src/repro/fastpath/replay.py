@@ -8,24 +8,23 @@ restructured for throughput:
   against hoisted opcode constants instead of one ``isinstance`` chain
   per record object;
 * **no residency lookups** — a ``trace_id -> (tally, handler,
-  record)`` map is maintained from the manager's own effect stream,
-  replacing ``manager.lookup`` (a per-access scan over every cache)
-  with one dict probe.  An insertion looks its record up once; a
-  promotion carries the record over from the trace's current entry,
-  because a promotion moves the record.  This is only sound for
-  managers whose effect streams fully describe residency, declared via
-  :attr:`repro.core.manager.CacheManager.fastpath_safe`, and a drift
-  check at the end of every replay verifies the map against the
-  caches;
+  record)`` residency map, kept from the manager's own effect stream
+  by :func:`~repro.fastpath.residency.fold_effects`, replaces
+  ``manager.lookup`` (a per-access scan over every cache) with one
+  dict probe.  This is only sound for managers whose effect streams
+  fully describe residency, declared via
+  :attr:`repro.core.manager.CacheManager.fastpath_safe`, and
+  :func:`~repro.fastpath.residency.check_residency` verifies the map
+  against the caches at the end of every replay;
 * **batched hits** — a resident access either touches its record in
   place (plain caches) or calls the cache's bound hit handler (touch +
   promotion check, no ``AccessOutcome`` allocation, no cache scan)
   once per compressed record, never materializing per-entry hits, and
   bumps one per-cache hit counter held in its entry;
-* **local stats accumulation** — counters live in local variables for
-  the whole replay and are flushed into :class:`CacheStats` once;
-  ``accesses`` is the log's own total, so the stats check compares two
-  independent counts.
+* **local stats accumulation** — miss and creation counters live in
+  local variables for the whole replay and are flushed into
+  :class:`CacheStats` once; ``accesses`` is the log's own total, so
+  the stats check compares two independent counts.
 
 Overhead-account charges happen in exactly the object path's order, so
 float accumulation — and therefore every experiment table — is
@@ -42,8 +41,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING
 
-from repro.core.effects import Evicted, EvictionReason, Inserted, Promoted
-from repro.errors import InvariantViolation, LogFormatError
+from repro.errors import LogFormatError
 from repro.fastpath.compiled import (
     OP_ACCESS,
     OP_CREATE,
@@ -53,6 +51,7 @@ from repro.fastpath.compiled import (
     OP_UNPIN,
     CompiledTraceLog,
 )
+from repro.fastpath.residency import check_residency, fold_effects
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cachesim.simulator import CacheSimulator
@@ -131,80 +130,32 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
     account = sim.account
     stats = sim.stats
     insert = manager.insert
+    fold = fold_effects
     charge_creation = account.charge_trace_creation if account else None
-    if account is not None:
-        # Hoisted Table 2 constants: fold prices evictions/promotions
-        # with the exact expressions CostModel.eviction/promotion use,
-        # accumulated onto the account in the same per-effect order,
-        # so float totals match the object path bit for bit.
-        model = account.model
-        ev_per, ev_base = model.eviction_per_byte, model.eviction_base
-        pr_per, pr_base = model.promotion_per_byte, model.promotion_base
 
-    # One (tally, handler) prototype per managed cache, resolved once.
-    # A *plain* cache (hits are exactly a trace-record touch) has no
-    # handler: the loop mutates the entry's CachedTrace in place, no
-    # call at all.  Anything else carries its bound hit handler.
+    # trace_id -> (tally, handler | None, CachedTrace), maintained
+    # purely from the effect stream.
+    resident: dict[int, tuple] = {}
+    # One prototype per managed cache, resolved once.  A *plain* cache
+    # (hits are exactly a trace-record touch) has no handler: the loop
+    # mutates the entry's CachedTrace in place, no call at all.
+    # Anything else carries its bound hit handler.
     plain_names = manager.plain_hit_caches()
     tallies = [_Tally(cache) for cache in manager.caches()]
     protos: dict[str, tuple] = {
         tally.name: (
+            resident,
             tally,
             None if tally.name in plain_names else manager.hit_handler(tally.name),
+            tally.cache,
         )
         for tally in tallies
     }
 
     # trace_id -> (size, module_id) of every trace ever created.
     known: dict[int, tuple[int, int]] = {}
-    # trace_id -> (tally, handler | None, CachedTrace), maintained
-    # purely from the effect stream.
-    resident: dict[int, tuple] = {}
     pending_pins: set[int] = set()
-
     misses = creations = 0
-    evictions = unmap_evictions = flush_evictions = 0
-    evicted_bytes = promotions = promoted_bytes = 0
-
-    def fold(effects) -> None:
-        """Residency + counter update + effect pricing, in the same
-        per-effect order as ``CacheSimulator._absorb`` followed by
-        ``OverheadAccount.charge_effects``."""
-        nonlocal evictions, unmap_evictions, flush_evictions
-        nonlocal evicted_bytes, promotions, promoted_bytes
-        for effect in effects:
-            kind = type(effect)
-            if kind is Inserted:
-                tally, handler = protos[effect.cache]
-                # find, not get: the cascade may already have evicted
-                # this trace again — a later Evicted effect in this
-                # batch then pops the entry, and no access can land
-                # in between.
-                resident[effect.trace_id] = (
-                    tally, handler, tally.cache.find(effect.trace_id)
-                )
-            elif kind is Evicted:
-                resident.pop(effect.trace_id, None)
-                reason = effect.reason
-                if reason is EvictionReason.UNMAP:
-                    unmap_evictions += 1
-                elif reason is EvictionReason.FLUSH:
-                    flush_evictions += 1
-                else:
-                    evictions += 1
-                evicted_bytes += effect.size
-                if account is not None:
-                    account.evictions += ev_per * effect.size + ev_base
-            else:  # Promoted
-                # A promotion moves the record (the fastpath_safe
-                # contract), so the entry carries it over: no lookup.
-                trace_id = effect.trace_id
-                tally, handler = protos[effect.dst]
-                resident[trace_id] = (tally, handler, resident[trace_id][2])
-                promotions += 1
-                promoted_bytes += effect.size
-                if account is not None:
-                    account.promotions += pr_per * effect.size + pr_base
 
     resident_get = resident.get
     known_get = known.get
@@ -235,7 +186,7 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
                 else:
                     effects = handler(trace_id, time, repeat)
                     if effects:
-                        fold(effects)
+                        fold(effects, protos, stats, account)
                 tally.hits += repeat
             else:
                 info = known_get(trace_id)
@@ -249,7 +200,7 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
                 misses += 1
                 if charge_creation:
                     charge_creation(size)
-                fold(insert(trace_id, size, module_id, time))
+                fold(insert(trace_id, size, module_id, time), protos, stats, account)
                 if trace_id in pending_pins:
                     manager.pin(trace_id)
                 remaining = repeat - 1
@@ -270,16 +221,16 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
                         else:
                             effects = handler(trace_id, time, remaining)
                             if effects:
-                                fold(effects)
+                                fold(effects, protos, stats, account)
                         tally.hits += remaining
         elif op == OP_CREATE:
             known[trace_id] = (size, module_id)
             creations += 1
             if charge_creation:
                 charge_creation(size)
-            fold(insert(trace_id, size, module_id, time))
+            fold(insert(trace_id, size, module_id, time), protos, stats, account)
         elif op == OP_UNMAP:
-            fold(manager.unmap_module(module_id, time))
+            fold(manager.unmap_module(module_id, time), protos, stats, account)
             # The unmapped code can never be re-entered under these ids.
             if pending_pins:
                 for dead_id, (_, mod) in known.items():
@@ -297,7 +248,9 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
         else:  # OP_END
             break
 
-    _check_residency(resident, tallies)
+    check_residency(
+        ((resident, protos),), sum(tally.cache.n_traces for tally in tallies)
+    )
 
     # accesses comes from the log itself, so CacheStats.check_invariants
     # compares it against the loop's own hits + misses.
@@ -307,39 +260,6 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
         if tally.hits:
             stats.record_hit(tally.name, tally.hits)
     stats.creations += creations
-    stats.evictions += evictions
-    stats.unmap_evictions += unmap_evictions
-    stats.flush_evictions += flush_evictions
-    stats.promotions += promotions
-    stats.evicted_bytes += evicted_bytes
-    stats.promoted_bytes += promoted_bytes
 
     FASTPATH_TOTALS["fast_replays"] += 1
     FASTPATH_TOTALS["records_replayed"] += n
-
-
-def _check_residency(resident: dict[int, tuple], tallies: list[_Tally]) -> None:
-    """The residency map must hold exactly the caches' residents: every
-    entry's cache holds its trace, every entry carries that cache's
-    live record, and the counts agree.
-
-    Raises:
-        InvariantViolation: on any drift between the map and the caches.
-    """
-    for trace_id, (tally, _, trace) in resident.items():
-        live = tally.cache.find(trace_id)
-        if live is None or live is not trace:
-            raise InvariantViolation(
-                "fastpath-residency",
-                f"residency map entry for trace {trace_id} disagrees "
-                f"with cache {tally.name!r}",
-                cache=tally.name,
-                trace_id=trace_id,
-            )
-    copies = sum(tally.cache.n_traces for tally in tallies)
-    if len(resident) != copies:
-        raise InvariantViolation(
-            "fastpath-residency",
-            f"residency map holds {len(resident)} entries but the caches "
-            f"hold {copies} traces",
-        )

@@ -92,13 +92,22 @@ class SharedPersistentCache:
         self, gid: int, size: int, time: int, process: int, module_id: int
     ) -> list[CachedTrace]:
         """Insert the first physical copy of *gid*, attached by
-        *process*; returns the victims the placement evicted (their
-        attachments are already cleared)."""
-        result = self._cache.insert(gid, size, module_id, time)
-        self._attachments[gid] = {process: module_id}
-        for victim in result.evicted:
+        *process* from *module_id*: a new record, then :meth:`admit`."""
+        trace = CachedTrace(gid, size, module_id, time, 0, time, False)
+        return self.admit(trace, time, process)
+
+    def admit(
+        self, trace: CachedTrace, time: int, process: int
+    ) -> list[CachedTrace]:
+        """Place the detached record *trace* (a graduate moves its own,
+        pin included) as the first copy of its gid, attached by
+        *process* from its module; returns the victims the placement
+        evicted (their attachments are already cleared)."""
+        evicted = self._cache.admit(trace, time)
+        self._attachments[trace.trace_id] = {process: trace.module_id}
+        for victim in evicted:
             self._attachments.pop(victim.trace_id, None)
-        return result.evicted
+        return evicted
 
     def attach(self, gid: int, process: int, module_id: int) -> None:
         """Record that *process* now maps the resident copy of *gid*

@@ -27,8 +27,9 @@ make the fleet version scale where the reference cannot:
   ``ScheduledRecord`` objects.
 
 Hits, nearly every record, are served the way the batched replay loop
-(:mod:`repro.fastpath.replay`) serves them: from *residency maps*
-(gid → ``(cache name, handler, trace record)``) kept only from the
+(:mod:`repro.fastpath.replay`) serves them, through the same residency
+core (:mod:`repro.fastpath.residency`): *residency maps* (gid →
+``(cache name, handler, trace record)``) kept only from the
 ``Inserted``/``Promoted``/``Evicted`` effects group calls return (the
 group effect contract on
 :class:`~repro.shared.manager.SharedCacheGroup`).  One map covers the
@@ -55,9 +56,10 @@ from types import MappingProxyType
 from typing import Sequence
 
 from repro.cachesim.stats import CacheStats
-from repro.core.effects import Effect, Evicted, EvictionReason, Promoted
-from repro.errors import ConfigError, InvariantViolation, LogFormatError
+from repro.core.effects import Effect
+from repro.errors import ConfigError, LogFormatError
 from repro.fastpath import OP_ACCESS, OP_CREATE, OP_END, OP_PIN, OP_UNMAP, OP_UNPIN
+from repro.fastpath import check_residency, fold_effects
 from repro.shared.fleet.scheduler import ProcessStream, stream_segments
 from repro.shared.fleet.workloads import FleetWorkloads
 from repro.shared.identity import TraceInterner
@@ -145,15 +147,13 @@ class FleetSimulator:
         ]
         self._exited = 0
         # Residency maps, gid -> (cache name, handler | None,
-        # CachedTrace | None), kept purely from the effect stream: one
-        # for the shared caches, and one per process for its local
-        # caches (bound at the process's first segment).
+        # CachedTrace), kept purely from the effect stream: one for the
+        # shared caches, and one per process for its local caches
+        # (bound at the process's first segment).
         self._shared: dict[int, tuple] = {}
         self._local: list[dict | MappingProxyType | None] = [None] * n
         # Fold prototypes per process: cache name -> (residency map,
-        # resident entry | None, cache).  A handler cache's entry is
-        # shared by all its residents; a plain cache's entry is built
-        # per insertion around the live trace record.
+        # cache name, handler | None, cache).
         self._protos: list[dict | None] = [None] * n
         self._common_protos: dict | None = None
 
@@ -169,7 +169,7 @@ class FleetSimulator:
         consumed = [0] * n
         global_time = 0
         shared_get = self._shared.get
-        absorb = self._absorb
+        fold = fold_effects
         for segment in stream_segments(
             self.streams,
             schedule=self.schedule,
@@ -187,6 +187,7 @@ class FleetSimulator:
             if local is None:
                 local = self._bind(process)
             local_get = local.get
+            protos = self._protos[process]
             stats = self._summaries[process].stats
             hits_by_cache = stats.hits_by_cache
             hits = 0
@@ -206,7 +207,7 @@ class FleetSimulator:
                         if entry is not None:
                             # Hot path: a resident access.
                             cache_name, handler, trace = entry
-                            if trace is not None:
+                            if handler is None:
                                 # Plain hit: mutate the record in place.
                                 trace.access_count += repeat
                                 trace.last_access = global_time
@@ -215,7 +216,7 @@ class FleetSimulator:
                                     process, gid, global_time, repeat, info[2]
                                 )
                                 if effects:
-                                    absorb(process, effects)
+                                    fold(effects, protos, stats)
                             hits += repeat
                             if cache_name in hits_by_cache:
                                 hits_by_cache[cache_name] += repeat
@@ -337,7 +338,7 @@ class FleetSimulator:
                 stats.misses += remaining
                 return
             cache_name, handler, trace = entry
-            if trace is not None:
+            if handler is None:
                 trace.access_count += remaining
                 trace.last_access = time
             else:
@@ -451,16 +452,12 @@ class FleetSimulator:
         """
         local: dict = {}
         protos = {
-            name: (
-                self._shared if shared else local,
-                None if handler is None else (name, handler, None),
-                cache,
-            )
+            name: (self._shared if shared else local, name, handler, cache)
             for name, shared, handler, cache in self.group.hit_entries(
                 process
             ).values()
         }
-        if not any(target is local for target, _, _ in protos.values()):
+        if not any(target is local for target, _, _, _ in protos.values()):
             # Only shared caches: the prototypes do not depend on the
             # process (shared handlers take it as an argument), so
             # every process folds through one table.
@@ -474,72 +471,24 @@ class FleetSimulator:
 
     def _absorb(self, process: int, effects: Sequence[Effect]) -> None:
         """Fold an effect list into the residency maps and the acting
-        process's statistics, in the batched loop's per-effect order."""
-        stats = self._summaries[process].stats
-        protos = self._protos[process]
-        for effect in effects:
-            kind = type(effect)
-            if kind is Evicted:
-                protos[effect.cache][0].pop(effect.trace_id, None)
-                reason = effect.reason
-                if reason is EvictionReason.UNMAP:
-                    stats.unmap_evictions += 1
-                elif reason is EvictionReason.FLUSH:
-                    stats.flush_evictions += 1
-                else:
-                    stats.evictions += 1
-                stats.evicted_bytes += effect.size
-                continue
-            if kind is Promoted:
-                protos[effect.src][0].pop(effect.trace_id, None)
-                stats.promotions += 1
-                stats.promoted_bytes += effect.size
-                name = effect.dst
-            else:  # Inserted
-                name = effect.cache
-            target, entry, cache = protos[name]
-            if entry is None:
-                # find, not get: the cascade may already have evicted
-                # this trace again; a later Evicted effect in this
-                # batch then pops the entry, before any access.
-                entry = (name, None, cache.find(effect.trace_id))
-            target[effect.trace_id] = entry
+        process's statistics."""
+        fold_effects(
+            effects, self._protos[process], self._summaries[process].stats
+        )
 
     def _check_residency(self) -> None:
         """The residency maps must hold exactly the group's resident
-        copies: every entry's cache holds its gid, every plain entry
-        holds the live trace record, and the counts agree.
+        copies (:func:`~repro.fastpath.check_residency`).
 
         Raises:
             InvariantViolation: on any drift between maps and caches.
         """
-        maps = [
+        views = [
             (local, protos)
             for local, protos in zip(self._local, self._protos)
             if protos is not None
         ]
-        if maps:
+        if views:
             # Every process's prototypes cover the shared caches.
-            maps.append((self._shared, maps[0][1]))
-        entries = 0
-        for residency, protos in maps:
-            entries += len(residency)
-            for gid, (name, handler, trace) in residency.items():
-                cache = protos[name][2]
-                if gid not in cache or (
-                    handler is None and cache.find(gid) is not trace
-                ):
-                    raise InvariantViolation(
-                        "fleet-residency",
-                        f"residency map entry for trace {gid} disagrees "
-                        f"with cache {name!r}",
-                        cache=name,
-                        trace_id=gid,
-                    )
-        copies = sum(self.group.resident_copies().values())
-        if entries != copies:
-            raise InvariantViolation(
-                "fleet-residency",
-                f"residency maps hold {entries} entries but the group "
-                f"has {copies} resident copies",
-            )
+            views.append((self._shared, views[0][1]))
+        check_residency(views, sum(self.group.resident_copies().values()))

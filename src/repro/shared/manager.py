@@ -124,9 +124,14 @@ class SharedCacheGroup(abc.ABC):
     :class:`~repro.core.effects.Promoted` effect, in the effects
     returned to the call that made it (``insert``, ``unmap_module``,
     ``on_hit`` or a :meth:`hit_entries` handler); ``pin`` and ``unpin``
-    change none.  This is the group analogue of
+    change none.  A ``Promoted`` effect moves the trace's record: the
+    destination cache admits the record the source cache released.
+    The one exception is a graduation onto a copy another process
+    already shared, where the local record is dropped and the process
+    attaches to the shared copy.  This is the group analogue of
     :attr:`repro.core.manager.CacheManager.fastpath_safe`: the fleet
-    engine keeps its residency maps from those effects alone.
+    engine keeps its residency maps from those effects alone, through
+    :func:`repro.fastpath.fold_effects`.
     """
 
     #: Human-readable description for reports.
@@ -628,9 +633,7 @@ class SharedPersistentGroup(SharedCacheGroup):
                 )
             )
             return
-        result = probation.insert(victim.trace_id, victim.size, victim.module_id, time)
-        if victim.pinned:
-            probation.pin(victim.trace_id)
+        displaced = probation.admit(victim, time)
         effects.append(
             Promoted(
                 trace_id=victim.trace_id,
@@ -639,8 +642,8 @@ class SharedPersistentGroup(SharedCacheGroup):
                 dst=PROBATION,
             )
         )
-        for displaced in result.evicted:
-            self._handle_probation_eviction(process, displaced, time, effects)
+        for trace in displaced:
+            self._handle_probation_eviction(process, trace, time, effects)
 
     def _handle_probation_eviction(
         self,
@@ -697,12 +700,11 @@ class SharedPersistentGroup(SharedCacheGroup):
                 )
             )
             return
-        victims = self.shared.insert(
-            trace.trace_id, trace.size, time, process, trace.module_id
-        )
+        victims = self.shared.admit(trace, time, process)
         if trace.pinned:
+            # The pin moved with the record; the graduating process
+            # holds its claim.
             self._pin_claims.setdefault(trace.trace_id, set()).add(process)
-            self.shared.pin(trace.trace_id)
         effects.append(
             Promoted(
                 trace_id=trace.trace_id,

@@ -25,7 +25,7 @@ from repro.errors import ConfigError, OverloadedError, ServiceError
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec, job_id
 from repro.service.store import ResultStore
-from tests.cluster.test_shards import slow_worker
+from tests.cluster.test_shards import gated_worker, slow_worker
 from tests.service.test_scheduler import echo_worker
 
 SPEC = JobSpec(kind="experiment", experiment_id="figure-1")
@@ -33,18 +33,6 @@ SPEC = JobSpec(kind="experiment", experiment_id="figure-1")
 
 def _spec(n: int) -> JobSpec:
     return JobSpec(kind="experiment", experiment_id="figure-1", seed=n)
-
-
-def gated_worker(gate, slot: int, tasks, events) -> None:
-    """Holds every job it takes until *gate* is set, so a running job
-    stays running for as long as the test needs."""
-    while True:
-        item = tasks.get()
-        if item is None:
-            return
-        jid, spec = item
-        gate.wait()
-        events.put(("done", jid, {"echo": spec["experiment_id"]}))
 
 
 def _wait_running(client: ServiceClient, job_id: str, timeout: float = 10.0) -> None:

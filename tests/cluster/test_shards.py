@@ -8,6 +8,8 @@ across shard counts" is checked on actual simulation payloads.
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import time
 
 import pytest
@@ -44,6 +46,18 @@ def slow_worker(slot: int, tasks, events) -> None:
             return
         jid, spec = item
         _time.sleep(0.05)
+        events.put(("done", jid, {"echo": spec["experiment_id"]}))
+
+
+def gated_worker(gate, slot: int, tasks, events) -> None:
+    """Holds every job it takes until *gate* is set, so a running job
+    stays running for as long as the test needs."""
+    while True:
+        item = tasks.get()
+        if item is None:
+            return
+        jid, spec = item
+        gate.wait()
         events.put(("done", jid, {"echo": spec["experiment_id"]}))
 
 
@@ -136,27 +150,63 @@ class TestDrainAndRestore:
 
 class TestOverloadContract:
     def test_shed_is_429_shaped_and_no_accepted_job_is_dropped(self):
+        # Watermark 4 over two worker slots.  Gated workers hold one job
+        # on each shard, so every later job waits in a queue and each
+        # state below is exact, not a race against dispatch.
+        gate = multiprocessing.Event()
         admission = AdmissionController(watermark=4)
         with ClusterScheduler(
             shards=2,
             admission=admission,
-            worker_target=slow_worker,
+            worker_target=functools.partial(gated_worker, gate),
         ) as cluster:
             accepted: list[str] = []
-            sheds = 0
-            retry_afters: list[float] = []
-            for n in range(40):
-                try:
-                    record = cluster.submit(_spec(n), tenant="t")
-                except OverloadedError as exc:
-                    sheds += 1
-                    retry_afters.append(exc.retry_after)
-                    assert exc.reason == "queue"
-                else:
-                    accepted.append(record.job_id)
-            assert sheds > 0, "the deliberate overload never shed"
-            assert accepted, "everything shed; watermark too tight"
-            assert all(after > 0 for after in retry_afters)
+            numbers = iter(range(1000))
+
+            def submit(tenant: str, n: int | None = None) -> None:
+                spec = _spec(next(numbers) if n is None else n)
+                accepted.append(cluster.submit(spec, tenant=tenant).job_id)
+
+            def shed(tenant: str) -> str:
+                with pytest.raises(OverloadedError) as info:
+                    cluster.submit(_spec(next(numbers)), tenant=tenant)
+                assert info.value.retry_after > 0
+                return info.value.reason
+
+            try:
+                # Tenant t's first job on each shard takes its slot.
+                first: dict[str, int] = {}
+                for n in numbers:
+                    first.setdefault(cluster.ring.route(job_id(_spec(n))), n)
+                    if len(first) == 2:
+                        break
+                for n in first.values():
+                    submit("t", n)
+                deadline = time.monotonic() + 10
+                while any(
+                    cluster.status_dict(jid)["state"] != "running"
+                    for jid in accepted
+                ):
+                    assert time.monotonic() < deadline, "slots never filled"
+                    time.sleep(0.01)
+                # Alone, t may fill the whole in-flight budget: two
+                # jobs wait.
+                submit("t")
+                submit("t")
+                assert cluster.queue_depth() == 2
+                # t is at its share with the queue below the
+                # watermark: the fair-share gate.
+                assert [shed("t") for _ in range(3)] == ["fair-share"] * 3
+                # Tenant u's share is free: two more jobs wait, and the
+                # queue reaches the watermark.
+                submit("u")
+                submit("u")
+                assert cluster.queue_depth() == 4
+                # Now every submission, from either tenant, sheds at the
+                # queue gate.
+                assert [shed(tenant) for tenant in "tutu"] == ["queue"] * 4
+            finally:
+                gate.set()
             # The drain must terminate (no deadlock) and every accepted
             # job must reach a terminal state (none dropped).
             assert cluster.wait(timeout=60)
@@ -166,8 +216,13 @@ class TestOverloadContract:
             # Exactly-once slot accounting: nothing left in flight.
             counters = admission.counters()
             assert counters["tenants"]["t"]["inflight"] == 0
-            assert counters["accepted"] == len(accepted)
-            assert counters["shed_by_reason"]["queue"] == sheds
+            assert counters["tenants"]["u"]["inflight"] == 0
+            assert counters["accepted"] == len(accepted) == 6
+            assert counters["shed_by_reason"] == {
+                "queue": 4,
+                "rate": 0,
+                "fair-share": 3,
+            }
 
     def test_terminal_dedup_releases_admission_slot(self):
         admission = AdmissionController(watermark=64)

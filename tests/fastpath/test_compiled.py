@@ -6,8 +6,15 @@ import io
 
 import pytest
 
-from repro.errors import LogFormatError
-from repro.fastpath import compile_log, ensure_compiled
+from repro.errors import LogFormatError, LogOrderError
+from repro.fastpath import (
+    OP_ACCESS,
+    OP_CREATE,
+    OP_END,
+    compile_log,
+    ensure_compiled,
+    pack_columns,
+)
 from repro.tracelog.binary import (
     dumps_binary,
     load_binary_compiled,
@@ -82,6 +89,27 @@ def test_empty_log_compiles():
 # ----------------------------------------------------------------------
 # RTL2 interop: compiled logs serialize without decompiling
 # ----------------------------------------------------------------------
+
+
+def test_validate_rejects_a_repeat_on_a_non_access_row():
+    # The replay loop counts accesses from the repeat column, so this
+    # log would replay to 3 accesses on the object path and to 8 on
+    # the fast path.
+    compiled = pack_columns(
+        "create-with-repeat",
+        1.0,
+        100,
+        [
+            [OP_CREATE, OP_ACCESS, OP_END],  # op
+            [1, 2, 3],  # time
+            [0, 0, 0],  # trace_id
+            [40, 0, 0],  # size
+            [0, 0, 0],  # module
+            [5, 3, 0],  # repeat
+        ],
+    )
+    with pytest.raises(LogOrderError, match="repeat 5"):
+        compiled.validate()
 
 
 def test_dump_binary_compiled_is_byte_identical(synth_log):

@@ -1,4 +1,5 @@
-"""The batched loop's residency map against the caches it mirrors.
+"""The residency core (``fold_effects``, ``check_residency``) and the
+batched loop's residency map against the caches it mirrors.
 
 At the end of every replay the loop checks that each residency entry's
 cache holds its trace, that the entry carries that cache's live record,
@@ -13,11 +14,13 @@ from __future__ import annotations
 import pytest
 
 from repro.cachesim.simulator import simulate_log
+from repro.cachesim.stats import CacheStats
 from repro.core.config import GenerationalConfig, PromotionMode
+from repro.core.effects import Promoted
 from repro.core.generational import GenerationalCacheManager
 from repro.core.unified import UnifiedCacheManager
 from repro.errors import InvariantViolation
-from repro.fastpath import compile_log, object_path
+from repro.fastpath import compile_log, fold_effects, object_path
 from repro.policies.base import CachedTrace
 from repro.tracelog.records import EndOfLog, TraceAccess, TraceCreate, TraceLog
 from tests.conftest import make_churn_log
@@ -93,3 +96,46 @@ def test_accesses_come_from_the_log_up_to_its_end_record():
         reference = simulate_log(log, UnifiedCacheManager(4096))
     assert fast.stats == reference.stats
     assert fast.stats.accesses == 3
+
+
+def _shared_hit(process, gid, time, count, module_id):
+    return ()
+
+
+def _graduation(local: dict, shared: dict) -> dict:
+    """Prototypes of one process's probation (plain, local map) and a
+    shared persistent cache (handler, shared map)."""
+    return {
+        "probation": (local, "probation", None, None),
+        "shared-persistent": (shared, "shared-persistent", _shared_hit, None),
+    }
+
+
+GRADUATE = Promoted(trace_id=7, size=40, src="probation", dst="shared-persistent")
+
+
+def test_a_promotion_carries_its_record_into_the_destination_map():
+    local, shared = {}, {}
+    record = CachedTrace(7, 40, 0)
+    local[7] = ("probation", None, record)
+    stats = CacheStats()
+    fold_effects([GRADUATE], _graduation(local, shared), stats)
+    assert local == {}
+    key, handler, carried = shared[7]
+    assert (key, handler) == ("shared-persistent", _shared_hit)
+    assert carried is record
+    assert (stats.promotions, stats.promoted_bytes) == (1, 40)
+
+
+def test_a_graduation_onto_a_shared_copy_keeps_the_destination_entry():
+    # Another process already shared trace 7: the graduating process
+    # drops its local record and attaches, so the shared map must keep
+    # the entry that holds the shared copy's record.
+    held = ("shared-persistent", _shared_hit, CachedTrace(7, 40, 0))
+    local = {7: ("probation", None, CachedTrace(7, 40, 0))}
+    shared = {7: held}
+    stats = CacheStats()
+    fold_effects([GRADUATE], _graduation(local, shared), stats)
+    assert local == {}
+    assert shared[7] is held
+    assert (stats.promotions, stats.promoted_bytes) == (1, 40)

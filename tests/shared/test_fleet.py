@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
-from repro.core.config import GenerationalConfig
+from repro.cachesim.simulator import simulate_log
+from repro.core.config import FIGURE9_CONFIGS, GenerationalConfig
+from repro.core.generational import GenerationalCacheManager
 from repro.errors import ConfigError, InvariantViolation
 from repro.experiments.evaluation import baseline_capacity
 from repro.experiments.shared import mix_benchmarks, simulate_mix
+from repro.fastpath import pack_columns
 from repro.shared.compose import (
     LIBRARY_CATALOG,
     build_process_workloads,
@@ -348,3 +352,35 @@ class TestResidencyDriftCheck:
         local[gid] = (name, handler, dataclasses.replace(trace))
         with pytest.raises(InvariantViolation, match="disagrees"):
             sim._check_residency()
+
+
+@functools.lru_cache(maxsize=None)
+def one_process_fleet(name: str) -> FleetWorkloads:
+    """Benchmark *name*'s bare log (no shared library) as a
+    one-process fleet, at scale ÷8."""
+    return FleetWorkloads.from_specs([(name, 0)], seed=42, scale_multiplier=8)
+
+
+class TestOneProcessFleet:
+    """A one-process private fleet is the paper's single-process world:
+    the fleet engine and the batched loop, given the same log and the
+    same generational manager config, must agree on every counter."""
+
+    @pytest.mark.parametrize(
+        "config", FIGURE9_CONFIGS, ids=["34-33-33-t10", "45-10-45-t1", "25-50-25-t10"]
+    )
+    @pytest.mark.parametrize(
+        "name", ["gzip", "word", "iexplore", "crafty", "art", "solitaire"]
+    )
+    def test_stats_match_the_cache_simulator(self, name, config):
+        fleet = one_process_fleet(name)
+        workload = fleet.distinct[0]
+        capacity = baseline_capacity(workload.total_trace_bytes)
+        group = make_group((capacity,), config, sharing_config_for("private"))
+        (summary,) = FleetSimulator(group, fleet).run().processes
+        log = pack_columns(name, 0.0, 0, workload.columns)
+        single = simulate_log(log, GenerationalCacheManager(capacity, config))
+        assert summary.stats.promotions > 0
+        assert dataclasses.asdict(summary.stats) == dataclasses.asdict(
+            single.stats
+        )

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cachesim.stats import CacheStats
 from repro.core.config import GenerationalConfig, PromotionMode
 from repro.core.effects import Evicted, EvictionReason, Promoted
 from repro.errors import CacheFullError, ConfigError
+from repro.fastpath import check_residency, fold_effects
 from repro.shared.cache import SHARED_PERSISTENT
 from repro.shared.manager import (
     PrivateCacheGroup,
@@ -317,33 +319,28 @@ def _reference_access(group, process, gid, time, count, module):
 
 
 class _ResidencyMaps:
-    """Residency maps folded from a group's effects, the way
-    ``FleetSimulator`` keeps them: one map for the shared caches, one
-    per process for its local caches, each gid -> ``(cache name,
+    """Residency maps kept the way ``FleetSimulator`` keeps them, through
+    the production fold and drift check: one map for the shared caches,
+    one per process for its local caches, each gid -> ``(cache name,
     handler, trace record)``."""
 
     def __init__(self, group):
-        self.entries = [group.hit_entries(p) for p in range(group.n_processes)]
+        self.group = group
         self.shared = {}
         self.local = [{} for _ in range(group.n_processes)]
-
-    def _map(self, process, name):
-        shared = self.entries[process][name][1]
-        return self.shared if shared else self.local[process]
+        self.protos = [
+            {
+                name: (self.shared if shared else local, name, handler, cache)
+                for name, shared, handler, cache in group.hit_entries(
+                    process
+                ).values()
+            }
+            for process, local in enumerate(self.local)
+        ]
+        self.stats = CacheStats()
 
     def fold(self, process, effects):
-        for effect in effects:
-            if isinstance(effect, Evicted):
-                self._map(process, effect.cache).pop(effect.trace_id, None)
-                continue
-            if isinstance(effect, Promoted):
-                self._map(process, effect.src).pop(effect.trace_id, None)
-                name = effect.dst
-            else:
-                name = effect.cache
-            _, _, handler, cache = self.entries[process][name]
-            trace = cache.find(effect.trace_id) if handler is None else None
-            self._map(process, name)[effect.trace_id] = (name, handler, trace)
+        fold_effects(effects, self.protos[process], self.stats)
 
     def access(self, process, gid, time, count, module):
         """Serve an access from the maps: None when not resident."""
@@ -351,7 +348,7 @@ class _ResidencyMaps:
         if entry is None:
             return None
         name, handler, trace = entry
-        if trace is not None:
+        if handler is None:
             trace.access_count += count
             trace.last_access = time
             return name, []
@@ -361,22 +358,10 @@ class _ResidencyMaps:
 
     def assert_agrees(self):
         """Every cache holds exactly the gids its map entries name, and
-        every plain entry holds the live trace record."""
-        for process, entries in enumerate(self.entries):
-            for name, _, handler, cache in entries.values():
-                residency = self._map(process, name)
-                mapped = {
-                    gid: trace
-                    for gid, (entry_name, _, trace) in residency.items()
-                    if entry_name == name
-                }
-                assert set(mapped) == {t.trace_id for t in cache.traces()}, (
-                    process,
-                    name,
-                )
-                if handler is None:
-                    for gid, trace in mapped.items():
-                        assert cache.find(gid) is trace, (process, name, gid)
+        every entry holds the live trace record."""
+        views = list(zip(self.local, self.protos))
+        views.append((self.shared, self.protos[0]))
+        check_residency(views, sum(self.group.resident_copies().values()))
 
 
 def _folded(maps, process, result):
