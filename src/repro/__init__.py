@@ -2,10 +2,11 @@
 
 A full reproduction of Hazelwood & Smith, "Generational Cache
 Management of Code Traces in Dynamic Optimization Systems"
-(MICRO 2003): the dynamic-optimizer front end, the trace-log substrate,
-the local and global cache-management policies, the Table 2 cost
-model, a calibrated 38-benchmark workload catalog, and one experiment
-per table/figure of the paper's evaluation.
+(MICRO 2003): the trace-log substrate, a log synthesizer calibrated to
+the paper's workload characterization, the local and global
+cache-management policies, the Table 2 cost model, a 38-benchmark
+workload catalog, and one experiment per table/figure of the paper's
+evaluation.
 
 Quickstart::
 
@@ -49,7 +50,6 @@ from repro.policies import (
     PseudoCircularCache,
     UnboundedCache,
 )
-from repro.runtime import DynOptRuntime, record_session
 from repro.tracelog import TraceLog, read_log, write_log
 from repro.workloads import (
     WorkloadProfile,
@@ -66,7 +66,6 @@ __all__ = [
     "CircularCache",
     "CodeCache",
     "CostModel",
-    "DynOptRuntime",
     "FIGURE9_CONFIGS",
     "GenerationalCacheManager",
     "GenerationalConfig",
@@ -88,7 +87,6 @@ __all__ = [
     "all_profiles",
     "get_profile",
     "read_log",
-    "record_session",
     "simulate_log",
     "synthesize_log",
     "write_log",

@@ -1,8 +1,9 @@
 """Replaying a trace log against a cache manager.
 
-This mirrors the paper's methodology exactly: DynamoRIO (our synthetic
-runtime) records a verbose log once, and every cache configuration is
-evaluated by replaying that same log.
+This mirrors the paper's methodology exactly: a verbose log is
+recorded once (DynamoRIO's in the paper, the calibrated synthesizer's
+here), and every cache configuration is evaluated by replaying that
+same log.
 
 Replay semantics per record type:
 

@@ -70,11 +70,6 @@ class ScenarioError(ReproError):
     contender that no longer exists."""
 
 
-class RuntimeStateError(ReproError):
-    """The dynamic-optimizer runtime was driven through an invalid
-    state transition (e.g. executing a block of an unloaded module)."""
-
-
 class ExperimentError(ReproError):
     """An experiment harness failed to produce its result table."""
 

@@ -1,9 +1,10 @@
 """Deterministic random-number streams.
 
-Every stochastic component (workload generators, the execution engine)
-draws from a named substream derived from a single master seed, so a
-whole experiment is reproducible from one integer while components
-remain independent of each other's consumption order.
+Every stochastic component (the log synthesizer, the process
+interleavers, the scenario search) draws from a named substream
+derived from a single master seed, so a whole experiment is
+reproducible from one integer while components remain independent of
+each other's consumption order.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ class RandomStreams:
     """A factory of named, independent random substreams.
 
     >>> streams = RandomStreams(42)
-    >>> a = streams.get("engine")
+    >>> a = streams.get("long")
     >>> b = streams.get("sizes")
-    >>> a is streams.get("engine")
+    >>> a is streams.get("long")
     True
     """
 

@@ -7,16 +7,11 @@ not on who generated it: :class:`TraceKey` is a stable SHA-256 content
 address (the same hashing discipline as :func:`repro.rand.derive_seed`,
 so keys never depend on ``PYTHONHASHSEED`` or process state).
 
-Two constructors cover the two places identity is needed:
-
-* :meth:`TraceKey.from_blocks` hashes a materialized trace's
-  block/instruction structure (opcode sequence, branch kinds, and
-  *trace-relative* branch targets — block ids and addresses differ
-  across processes and are deliberately excluded).
-* :meth:`TraceKey.from_workload` derives the key of a synthesized-log
-  trace from its workload-level identity ``(namespace, trace id, size,
-  module)``; the same benchmark binary always yields the same keys, so
-  homogeneous process mixes deduplicate fully.
+Every log here is synthesized, so a trace carries no instruction
+body to hash: :meth:`TraceKey.from_workload` derives the key from the
+trace's workload-level identity ``(namespace, trace id, size,
+module)``.  The same benchmark binary always yields the same keys, so
+homogeneous process mixes deduplicate fully.
 
 The :class:`TraceInterner` maps keys to compact integer *gids* (what
 the shared cache group stores) and accounts the duplicate bytes it
@@ -27,10 +22,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import InvariantViolation
-from repro.isa.blocks import BasicBlock
 
 #: Bump when the canonical content serialization changes; part of every
 #: digest, so old and new keys can never collide silently.
@@ -56,36 +50,6 @@ class TraceKey:
     """
 
     digest: str
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[BasicBlock]) -> "TraceKey":
-        """Key a materialized trace by its instruction structure.
-
-        Block ids, addresses and module ids are process-local, so the
-        serialization uses only what two processes executing the same
-        code would agree on: per-block instruction streams (opcode and
-        branch kind) and branch targets normalized to the target
-        block's *position within the trace* (external targets collapse
-        to a single marker).
-        """
-        positions = {block.block_id: idx for idx, block in enumerate(blocks)}
-        parts: list[str] = [f"blocks={len(blocks)}"]
-        for block in blocks:
-            for instruction in block.instructions:
-                target = instruction.target_block
-                if target is None:
-                    where = "-"
-                elif target in positions:
-                    where = f"i{positions[target]}"
-                else:
-                    where = "ext"
-                parts.append(
-                    f"{instruction.opcode.value},"
-                    f"{instruction.branch_kind.value},"
-                    f"{int(instruction.backward)},{where}"
-                )
-            parts.append("|")
-        return cls(digest=_digest(parts))
 
     @classmethod
     def from_workload(

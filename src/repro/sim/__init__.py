@@ -1,31 +1,7 @@
-"""Execution substrate: stochastic walkers over synthetic programs.
+"""Multi-process scheduling of trace logs.
 
-The engine plays the role of the CPU running the original application:
-it walks the program's weighted CFG, emitting block-execution and
-module load/unload events with virtual timestamps.  The dynamic
-optimizer runtime (:mod:`repro.runtime`) observes this event stream the
-way DynamoRIO observes a real process.
+:mod:`repro.sim.interleave` merges several processes' logs into one
+deterministic timeline (round-robin or seeded-random quanta).  The
+shared-cache simulator replays that timeline, and the fleet engine and
+the service job specs share its schedule names and default quantum.
 """
-
-from repro.sim.events import (
-    BlockExecuted,
-    ModuleLoaded,
-    ModuleUnloaded,
-    ProgramEnd,
-    SimEvent,
-)
-from repro.sim.phases import LoadModule, Segment, SessionScript, UnloadModule
-from repro.sim.engine import ExecutionEngine
-
-__all__ = [
-    "BlockExecuted",
-    "ExecutionEngine",
-    "LoadModule",
-    "ModuleLoaded",
-    "ModuleUnloaded",
-    "ProgramEnd",
-    "Segment",
-    "SessionScript",
-    "SimEvent",
-    "UnloadModule",
-]

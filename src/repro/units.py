@@ -11,11 +11,6 @@ from __future__ import annotations
 KB = 1024
 MB = 1024 * KB
 
-#: Virtual instructions we charge per executed basic block when the
-#: execution engine converts block counts into virtual time.  The exact
-#: value only sets the time scale; it is configurable in the engine.
-DEFAULT_INSTRUCTIONS_PER_BLOCK = 8
-
 
 def kib(n_bytes: float) -> float:
     """Return *n_bytes* expressed in KiB."""

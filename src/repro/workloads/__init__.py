@@ -18,7 +18,6 @@ from repro.workloads.catalog import (
     profiles_for_suite,
 )
 from repro.workloads.synthesis import synthesize_log
-from repro.workloads.generator import build_program, build_session
 
 __all__ = [
     "INTERACTIVE_PROFILES",
@@ -26,8 +25,6 @@ __all__ = [
     "SPEC2000_PROFILES",
     "WorkloadProfile",
     "all_profiles",
-    "build_program",
-    "build_session",
     "get_profile",
     "interactive_profile",
     "profiles_for_suite",

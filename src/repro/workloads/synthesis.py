@@ -1,8 +1,7 @@
 """Direct trace-log synthesis from a workload profile.
 
-This is the fast path used by the evaluation harness: instead of
-walking a synthetic CFG block by block (see
-:mod:`repro.workloads.generator` for that full pipeline), it plans the
+This is the log source of the evaluation harness: instead of
+simulating a program whose optimizer would emit the log, it plans the
 trace population and its access timeline analytically and emits the
 verbose log directly — rendered straight into packed columns
 (:func:`synthesize_compiled`), with record objects only for callers

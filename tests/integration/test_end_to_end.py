@@ -1,10 +1,9 @@
-"""End-to-end integration: full pipeline -> log -> every manager.
+"""End-to-end integration: synthesized log -> every manager.
 
 These tests exercise the complete system the way the paper's
-methodology does: record once with the dynamic-optimizer front end (or
-the calibrated synthesizer), then replay the log against the unified
-baseline and the generational hierarchy, checking the paper's headline
-relationships.
+methodology does: record a log once (here with the calibrated
+synthesizer), then replay it against the unified baseline and the
+generational hierarchy, checking the paper's headline relationships.
 """
 
 from __future__ import annotations
@@ -15,13 +14,11 @@ from repro.cachesim.simulator import simulate_log
 from repro.core.config import BEST_CONFIG, GenerationalConfig
 from repro.core.generational import GenerationalCacheManager
 from repro.core.unified import UnifiedCacheManager
-from repro.metrics.lifetimes import lifetime_histogram
 from repro.overhead.model import TABLE2_COSTS
 from repro.tracelog.reader import loads_log
 from repro.tracelog.stats import summarize_log
 from repro.tracelog.writer import dumps_log
 from repro.workloads.catalog import get_profile
-from repro.workloads.generator import build_session
 from repro.workloads.synthesis import synthesize_log
 
 
@@ -73,38 +70,6 @@ class TestLogPortability:
         reloaded = loads_log(dumps_log(word_log))
         replayed = simulate_log(reloaded, UnifiedCacheManager(word_capacity))
         assert direct.stats == replayed.stats
-
-
-class TestFullPipelineAgreement:
-    """The block-by-block pipeline (engine + DynOptRuntime) must
-    produce logs with the same qualitative structure as the calibrated
-    synthesizer."""
-
-    @pytest.fixture(scope="class")
-    def pipeline_log(self):
-        return build_session(get_profile("winzip"), seed=7)
-
-    def test_pipeline_log_is_u_shaped(self, pipeline_log):
-        histogram = lifetime_histogram(pipeline_log)
-        assert histogram.n_traces > 10
-        assert histogram.short_lived + histogram.long_lived > 40.0
-
-    def test_pipeline_log_replays_under_pressure(self, pipeline_log):
-        stats = summarize_log(pipeline_log)
-        capacity = max(4096, stats.total_trace_bytes // 2)
-        unified = simulate_log(pipeline_log, UnifiedCacheManager(capacity))
-        generational = simulate_log(
-            pipeline_log, GenerationalCacheManager(capacity, BEST_CONFIG)
-        )
-        unified.stats.check_invariants()
-        generational.stats.check_invariants()
-
-    def test_pipeline_unmaps_flow_through(self, pipeline_log):
-        stats = summarize_log(pipeline_log)
-        assert stats.n_unmaps > 0
-        capacity = max(4096, stats.total_trace_bytes // 2)
-        result = simulate_log(pipeline_log, UnifiedCacheManager(capacity))
-        assert result.stats.unmap_evictions > 0
 
 
 class TestCrossPolicyOrdering:

@@ -22,7 +22,6 @@ EXAMPLES: tuple[tuple[str, list[str]], ...] = (
     ("policy_comparison.py", ["art"]),
     ("config_sweep.py", ["art"]),
     ("oracle_headroom.py", ["gzip"]),
-    ("interactive_session.py", []),
 )
 
 

@@ -25,7 +25,7 @@ from repro.shared.policy import (
 )
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -397,6 +397,21 @@ if HAVE_HYPOTHESIS:
         )
         @pytest.mark.parametrize("variant", POLICY_VARIANTS)
         @settings(max_examples=40, deadline=None)
+        # Two processes each push gid 0 from nursery to probation and
+        # then promote it: the second graduation lands on the copy the
+        # first already shared, and the fold must keep that entry.
+        @example(
+            ops=[
+                ("insert", 0, 0, 0, 1, 1),
+                ("insert", 1, 0, 0, 1, 1),
+                ("insert", 0, 1, 0, 1, 1),
+                ("insert", 0, 4, 0, 1, 1),
+                ("insert", 1, 1, 0, 1, 1),
+                ("insert", 1, 4, 0, 1, 1),
+                ("access", 0, 0, 0, 3, 1),
+                ("access", 1, 0, 0, 3, 1),
+            ]
+        )
         @given(
             ops=st.lists(
                 st.tuples(

@@ -22,7 +22,6 @@ class TestErrorHierarchy:
             errors.LogFormatError,
             errors.LogOrderError,
             errors.WorkloadError,
-            errors.RuntimeStateError,
             errors.ExperimentError,
         ]
         for error in leaf_errors:
