@@ -24,39 +24,46 @@ Quickstart::
     print(unified.miss_rate, generational.miss_rate)
 """
 
+import importlib
+
 from repro._version import __version__
-from repro.analysis import SanitizerHarness
-from repro.cachesim import (
-    Arena,
-    CacheSimulator,
-    CacheStats,
-    SimulationResult,
-    simulate_log,
-)
-from repro.core import (
-    GenerationalCacheManager,
-    GenerationalConfig,
-    PromotionMode,
-    UnifiedCacheManager,
-)
-from repro.core.config import BEST_CONFIG, FIGURE9_CONFIGS
-from repro.errors import InvariantViolation, ReproError
-from repro.overhead import CostModel, OverheadAccount, TABLE2_COSTS
-from repro.policies import (
-    CircularCache,
-    CodeCache,
-    LRUCache,
-    PreemptiveFlushCache,
-    PseudoCircularCache,
-    UnboundedCache,
-)
-from repro.tracelog import TraceLog, read_log, write_log
-from repro.workloads import (
-    WorkloadProfile,
-    all_profiles,
-    get_profile,
-    synthesize_log,
-)
+
+#: Each public name -> the module that defines it.  The root imports
+#: none of them up front (PEP 562): a name loads its module on first
+#: access, so ``import repro.cli`` or ``import repro.errors`` pays only
+#: for what it uses.
+_EXPORTS = {
+    "Arena": "repro.policies.arena",
+    "BEST_CONFIG": "repro.core.config",
+    "CacheSimulator": "repro.cachesim.simulator",
+    "CacheStats": "repro.cachesim.stats",
+    "CircularCache": "repro.policies.circular",
+    "CodeCache": "repro.policies.base",
+    "CostModel": "repro.overhead.model",
+    "FIGURE9_CONFIGS": "repro.core.config",
+    "GenerationalCacheManager": "repro.core.generational",
+    "GenerationalConfig": "repro.core.config",
+    "InvariantViolation": "repro.errors",
+    "LRUCache": "repro.policies.lru",
+    "OverheadAccount": "repro.overhead.accounting",
+    "PreemptiveFlushCache": "repro.policies.flush",
+    "PromotionMode": "repro.core.config",
+    "PseudoCircularCache": "repro.policies.pseudocircular",
+    "ReproError": "repro.errors",
+    "SanitizerHarness": "repro.analysis.sanitizer",
+    "SimulationResult": "repro.cachesim.stats",
+    "TABLE2_COSTS": "repro.overhead.model",
+    "TraceLog": "repro.tracelog.records",
+    "UnboundedCache": "repro.policies.unbounded",
+    "UnifiedCacheManager": "repro.core.unified",
+    "WorkloadProfile": "repro.workloads.profiles",
+    "all_profiles": "repro.workloads.catalog",
+    "get_profile": "repro.workloads.catalog",
+    "read_log": "repro.tracelog.reader",
+    "simulate_log": "repro.cachesim.simulator",
+    "synthesize_log": "repro.workloads.synthesis",
+    "write_log": "repro.tracelog.writer",
+}
 
 __all__ = [
     "Arena",
@@ -91,3 +98,16 @@ __all__ = [
     "synthesize_log",
     "write_log",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

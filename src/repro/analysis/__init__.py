@@ -23,29 +23,36 @@ Quickstart::
     simulator = CacheSimulator(manager, sanitizer=SanitizerHarness(manager))
 """
 
-from repro.analysis import builtin, whole  # noqa: F401 - populate the registry
-from repro.analysis.core import (
-    REGISTRY,
-    FileContext,
-    Rule,
-    Severity,
-    Violation,
-    WholeProgramRule,
-    all_rules,
-    make_rules,
-    register,
-)
-from repro.analysis.engine import AnalysisReport, Analyzer, analyze
-from repro.analysis.reporters import render_json, render_text
-from repro.analysis.sanitizer import (
-    DEFAULT_STRIDE,
-    SanitizerHarness,
-    disable_sanitizer,
-    enable_sanitizer,
-    sanitizer_enabled,
-)
-from repro.analysis.suppressions import SuppressionMap, parse_suppressions
-from repro.analysis.whole import Program
+import importlib
+
+#: Each public name -> its module, imported on first access (PEP 562),
+#: so the sanitizer a replay needs does not load the lint engine.  The
+#: shipped rules register on the first :func:`all_rules` or
+#: :func:`make_rules` call.
+_EXPORTS = {
+    "AnalysisReport": "repro.analysis.engine",
+    "Analyzer": "repro.analysis.engine",
+    "DEFAULT_STRIDE": "repro.errors",
+    "FileContext": "repro.analysis.core",
+    "Program": "repro.analysis.whole.program",
+    "REGISTRY": "repro.analysis.core",
+    "Rule": "repro.analysis.core",
+    "SanitizerHarness": "repro.analysis.sanitizer",
+    "Severity": "repro.analysis.core",
+    "SuppressionMap": "repro.analysis.suppressions",
+    "Violation": "repro.analysis.core",
+    "WholeProgramRule": "repro.analysis.core",
+    "all_rules": "repro.analysis.core",
+    "analyze": "repro.analysis.engine",
+    "disable_sanitizer": "repro.analysis.sanitizer",
+    "enable_sanitizer": "repro.analysis.sanitizer",
+    "make_rules": "repro.analysis.core",
+    "parse_suppressions": "repro.analysis.suppressions",
+    "register": "repro.analysis.core",
+    "render_json": "repro.analysis.reporters",
+    "render_text": "repro.analysis.reporters",
+    "sanitizer_enabled": "repro.analysis.sanitizer",
+}
 
 __all__ = [
     "Program",
@@ -71,3 +78,16 @@ __all__ = [
     "render_text",
     "sanitizer_enabled",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,7 +9,9 @@ interested rule, so adding rules does not add passes.
 Rules are registered in a module-level :data:`REGISTRY` via the
 :func:`register` decorator and report through
 :meth:`FileContext.report`, which applies ``# cachelint:`` suppressions
-before recording anything.
+before recording anything.  The shipped rules register on the first
+:func:`all_rules` or :func:`make_rules` call, so importing the engine
+alone does not load them.
 """
 
 from __future__ import annotations
@@ -175,8 +177,16 @@ def register(rule_class: type[Rule]) -> type[Rule]:
     return rule_class
 
 
+def _register_shipped_rules() -> None:
+    """Register the shipped rules: the per-file rules, then the
+    whole-program passes.  Each module registers its rules when first
+    imported, so every later call only finds them in ``sys.modules``."""
+    from repro.analysis import builtin, whole  # noqa: F401
+
+
 def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule."""
+    _register_shipped_rules()
     return [rule_class() for rule_class in REGISTRY.values()]
 
 
@@ -189,6 +199,7 @@ def make_rules(rule_ids: list[str] | None = None) -> list[Rule]:
     """
     if rule_ids is None:
         return all_rules()
+    _register_shipped_rules()
     unknown = [rid for rid in rule_ids if rid not in REGISTRY]
     if unknown:
         raise ConfigError(

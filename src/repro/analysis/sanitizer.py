@@ -31,17 +31,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.effects import Effect, Evicted, EvictionReason, Promoted
-from repro.errors import ConfigError, InvariantViolation
+from repro.errors import DEFAULT_STRIDE, ConfigError, InvariantViolation
 from repro.tracelog.records import LogRecord, TracePin, TraceUnpin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.manager import CacheManager
     from repro.policies.base import CodeCache
-
-#: Events between full structural checks.  A full sweep is O(resident
-#: traces); this stride keeps fig09-scale experiments under 2x wall
-#: clock while corruption is still caught within ~1k replayed events.
-DEFAULT_STRIDE = 1024
 
 
 @dataclass

@@ -27,32 +27,15 @@ import json
 import os
 import sys
 
-from repro.analysis.sanitizer import DEFAULT_STRIDE, TOTALS, enable_sanitizer
-from repro.errors import ConfigError, ServiceError
-from repro.experiments.base import render_table
-from repro.experiments.dataset import quick_subset
-from repro.experiments.runner import (
-    ALL_EXPERIMENT_IDS,
-    EXTENSION_EXPERIMENT_IDS,
-    experiment_specs,
-    render_all,
-    run_all,
-)
-from repro.experiments import sweep as sweep_module
-from repro.service.client import ServiceClient
-from repro.service.jobs import spec_from_dict
-from repro.service.scheduler import (
+# Each handler imports the subsystem it runs, so building the parser
+# (and every --help) loads no simulator, lint or service code.
+from repro.errors import (
     DEFAULT_RETRIES,
+    DEFAULT_STRIDE,
     DEFAULT_TIMEOUT,
-    TERMINAL_STATES,
+    ConfigError,
+    ServiceError,
 )
-from repro.service.store import ResultStore
-from repro.service.workers import result_from_dict
-from repro.tracelog.binary import write_binary_log
-from repro.tracelog.writer import write_log
-from repro.units import format_bytes
-from repro.workloads.catalog import all_profiles, get_profile
-from repro.workloads.synthesis import synthesize_log
 
 #: Bind address of ``serve`` and ``cluster-serve``.
 DEFAULT_HOST = "127.0.0.1"
@@ -67,6 +50,9 @@ DEFAULT_STORE = os.path.join("~", ".cache", "repro-gencache", "results")
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.units import format_bytes
+    from repro.workloads.catalog import all_profiles
+
     print(f"{'name':12s} {'suite':12s} {'size':>10s} {'secs':>7s} {'unmap%':>7s}  description")
     for profile in all_profiles(include_scenarios=True):
         print(
@@ -82,15 +68,18 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 # Argument validation (structured ConfigError -> exit code 2)
 # ----------------------------------------------------------------------
 
-KNOWN_EXPERIMENT_IDS = ALL_EXPERIMENT_IDS + EXTENSION_EXPERIMENT_IDS
-
-
 def _validate_experiment_ids(ids: tuple[str, ...]) -> None:
-    unknown = [i for i in ids if i not in KNOWN_EXPERIMENT_IDS]
+    from repro.experiments.runner import (
+        ALL_EXPERIMENT_IDS,
+        EXTENSION_EXPERIMENT_IDS,
+    )
+
+    known = ALL_EXPERIMENT_IDS + EXTENSION_EXPERIMENT_IDS
+    unknown = [i for i in ids if i not in known]
     if unknown:
         raise ConfigError(
             f"unknown experiment(s) {unknown}; choose from "
-            f"{', '.join(KNOWN_EXPERIMENT_IDS)} or 'all'"
+            f"{', '.join(known)} or 'all'"
         )
 
 
@@ -126,6 +115,8 @@ def _validate_dispatch(args: argparse.Namespace) -> None:
 def _apply_sanitize(args: argparse.Namespace) -> None:
     """Turn on the process-wide replay sanitizer when requested."""
     if getattr(args, "sanitize", False):
+        from repro.analysis.sanitizer import enable_sanitizer
+
         enable_sanitizer(stride=args.sanitize_stride)
 
 
@@ -142,6 +133,8 @@ def _print_sanitize_summary(
             "worker job(s); no violations"
         )
     else:
+        from repro.analysis.sanitizer import TOTALS
+
         print(
             f"sanitizer: {TOTALS.checks} invariant sweep(s) over "
             f"{TOTALS.events} event(s) across {TOTALS.simulations} "
@@ -154,16 +147,35 @@ def _print_sanitize_summary(
 # ----------------------------------------------------------------------
 
 
+def _open_store(path: str | None):
+    """The disk result store at *path*, or None when no path is given."""
+    if not path:
+        return None
+    from repro.service.store import ResultStore
+
+    return ResultStore(os.path.expanduser(path))
+
+
+def _quick_subset(args: argparse.Namespace) -> list[str] | None:
+    if not args.quick:
+        return None
+    from repro.experiments.dataset import quick_subset
+
+    return quick_subset()
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import ALL_EXPERIMENT_IDS, render_all, run_all
+
     ids = ALL_EXPERIMENT_IDS if args.experiment == "all" else (args.experiment,)
     _validate_experiment_ids(ids)
     _validate_scale(args)
     _validate_dispatch(args)
-    subset = quick_subset() if args.quick else None
+    subset = _quick_subset(args)
     if args.server:
         return _run_via_server(args, ids, subset)
     _apply_sanitize(args)
-    store = ResultStore(os.path.expanduser(args.store)) if args.store else None
+    store = _open_store(args.store)
     results = run_all(
         seed=args.seed,
         scale_multiplier=args.scale,
@@ -182,6 +194,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _run_via_server(
     args: argparse.Namespace, ids: tuple[str, ...], subset: list[str] | None
 ) -> int:
+    from repro.experiments.runner import experiment_specs, render_all
+    from repro.service.client import ServiceClient
+    from repro.service.scheduler import TERMINAL_STATES
+    from repro.service.workers import result_from_dict
+
     client = ServiceClient(args.server)
     specs = experiment_specs(
         tuple(ids),
@@ -212,10 +229,13 @@ def _run_via_server(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments import sweep as sweep_module
+    from repro.experiments.base import render_table
+
     _validate_scale(args)
     _validate_dispatch(args)
     _apply_sanitize(args)
-    store = ResultStore(os.path.expanduser(args.store)) if args.store else None
+    store = _open_store(args.store)
     result = sweep_module.run(
         benchmark=args.benchmark,
         seed=args.seed,
@@ -240,10 +260,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     _validate_experiment_ids((args.experiment,))
     _validate_scale(args)
-    # Imported lazily: cProfile/pstats stay out of ordinary runs.
     from repro.fastpath.profiling import profile_experiment
 
-    subset = quick_subset() if args.quick else None
+    subset = _quick_subset(args)
     out_dir = os.path.expanduser(args.out)
     os.makedirs(out_dir, exist_ok=True)
     profile_path = os.path.join(out_dir, f"profile_{args.experiment}.prof")
@@ -269,6 +288,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
+    from repro.tracelog.binary import write_binary_log
+    from repro.tracelog.writer import write_log
+    from repro.units import format_bytes
+    from repro.workloads.catalog import get_profile
+    from repro.workloads.synthesis import synthesize_log
+
     _validate_scale(args, allow_zero=True)
     profile = get_profile(args.benchmark)
     log = synthesize_log(profile, seed=args.seed, scale=args.scale or None)
@@ -303,6 +328,7 @@ QUICK_CALIBRATE_PARAMETERS = (
 def _load_target(args: argparse.Namespace):
     """The :class:`ScenarioTarget` a ``calibrate`` invocation fits."""
     from repro.scenarios.targets import ScenarioTarget, target_from_profile
+    from repro.workloads.catalog import get_profile
 
     if (args.target is None) == (args.from_profile is None):
         raise ConfigError(
@@ -328,6 +354,7 @@ def _load_target(args: argparse.Namespace):
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.scenarios.artifact import from_calibration
     from repro.scenarios.calibrate import calibrate
+    from repro.workloads.catalog import get_profile
 
     if args.scale <= 0:
         raise ConfigError(f"--scale must be positive, got {args.scale:g}")
@@ -450,8 +477,6 @@ def _serve_cluster(
     **cluster_kwargs,
 ) -> int:
     """Run the cluster front end until SIGTERM/SIGINT drains it."""
-    # Imported lazily: the cluster layer (and asyncio) stays out of
-    # every other verb.
     from repro.cluster import (
         AdmissionController,
         ClusterScheduler,
@@ -460,7 +485,7 @@ def _serve_cluster(
     )
     from repro.cluster.http import ClusterServer, serve_until_signal
 
-    disk = ResultStore(os.path.expanduser(args.store)) if args.store else None
+    disk = _open_store(args.store)
     controller = AdmissionController(**(admission or {}))
     cluster = ClusterScheduler(
         shards=shards,
@@ -558,6 +583,8 @@ def _submit_spec(args: argparse.Namespace):
             data = json.loads(args.spec)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--spec is not valid JSON: {exc}") from exc
+        from repro.service.jobs import spec_from_dict
+
         return spec_from_dict(data)
     if args.experiment is None:
         raise ConfigError("submit needs an experiment id or --spec")
@@ -568,18 +595,34 @@ def _submit_spec(args: argparse.Namespace):
         )
     _validate_experiment_ids((args.experiment,))
     _validate_scale(args)
-    subset = quick_subset() if args.quick else None
+    from repro.experiments.runner import experiment_specs
+
     return experiment_specs(
         (args.experiment,),
         seed=args.seed,
         scale_multiplier=args.scale,
-        subset=subset,
+        subset=_quick_subset(args),
         sanitize=args.sanitize,
         sanitize_stride=args.sanitize_stride,
     )[0]
 
 
+def _print_payload(payload: dict) -> None:
+    """Print a fetched result: an experiment as its table, any other
+    kind as JSON."""
+    if payload.get("kind") == "experiment":
+        from repro.experiments.base import render_table
+        from repro.service.workers import result_from_dict
+
+        print(render_table(result_from_dict(payload["result"])))
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from repro.service.client import ServiceClient
+    from repro.service.scheduler import TERMINAL_STATES
+
     spec = _submit_spec(args)
     client = ServiceClient(args.server)
     status = client.submit(spec)
@@ -593,15 +636,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         raise ServiceError(
             f"job {status['job_id']} failed: {status.get('error')}"
         )
-    payload = client.result(status["job_id"])
-    if payload.get("kind") == "experiment":
-        print(render_table(result_from_dict(payload["result"])))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _print_payload(client.result(status["job_id"]))
     return 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
+    from repro.service.client import ServiceClient
+
     status = ServiceClient(args.server).status(args.job_id)
     for key in ("job_id", "kind", "state", "cached", "attempts",
                 "runtime_seconds", "error"):
@@ -611,11 +652,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    payload = ServiceClient(args.server).result(args.job_id)
-    if payload.get("kind") == "experiment":
-        print(render_table(result_from_dict(payload["result"])))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    from repro.service.client import ServiceClient
+
+    _print_payload(ServiceClient(args.server).result(args.job_id))
     return 0
 
 

@@ -7,6 +7,20 @@ itself raises the most specific subclass available.
 
 from __future__ import annotations
 
+# The defaults of the limits behind the sanitizer's and the scheduler's
+# errors live in this leaf module, so the CLI can build its parser
+# without importing either subsystem.
+
+#: Events between the sanitizer's full structural checks.  A full sweep
+#: is O(resident traces); this stride keeps fig09-scale experiments
+#: under 2x wall clock while corruption is still caught within ~1k
+#: replayed events.
+DEFAULT_STRIDE = 1024
+#: Per-job wall-clock budget; full-scale figure jobs run minutes.
+DEFAULT_TIMEOUT = 900.0
+#: Extra attempts after the first before a job is marked failed.
+DEFAULT_RETRIES = 2
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""

@@ -2,7 +2,9 @@
 
 Shares one dataset (so no log is loaded or synthesized twice) and one
 heavy evaluation pass across all the experiments that need them, then
-renders each result table.
+renders each result table.  The paper's experiments load with this
+module; each extension experiment is imported only when it runs, so a
+paper run never loads the shared-cache, fleet or scenario subsystems.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from typing import Callable
 
 from repro.core.config import FIGURE9_CONFIGS
 from repro.experiments import (
-    capacity,
     fig01_max_cache_size,
     fig02_code_expansion,
     fig03_insertion_rate,
@@ -20,12 +21,6 @@ from repro.experiments import (
     fig09_miss_rates,
     fig10_misses_eliminated,
     fig11_overhead,
-    fleet,
-    headroom,
-    reuse,
-    robustness,
-    scenarios,
-    shared,
     sweep,
     table01_benchmarks,
     table02_overheads,
@@ -141,6 +136,8 @@ def run_all(
                 )
             )
         elif experiment_id == "capacity":
+            from repro.experiments import capacity
+
             bench = sweep_benchmark
             if subset and bench not in subset:
                 bench = subset[0]
@@ -153,6 +150,8 @@ def run_all(
                 )
             )
         elif experiment_id == "headroom":
+            from repro.experiments import headroom
+
             results.append(
                 headroom.run(
                     seed=seed,
@@ -161,6 +160,8 @@ def run_all(
                 )
             )
         elif experiment_id == "robustness":
+            from repro.experiments import robustness
+
             results.append(
                 robustness.run(
                     scale_multiplier=max(scale_multiplier, 4.0),
@@ -168,8 +169,12 @@ def run_all(
                 )
             )
         elif experiment_id == "reuse":
+            from repro.experiments import reuse
+
             results.append(reuse.run(dataset=dataset))
         elif experiment_id == "shared":
+            from repro.experiments import shared
+
             results.append(
                 shared.run(
                     seed=seed,
@@ -178,6 +183,8 @@ def run_all(
                 )
             )
         elif experiment_id == "fleet":
+            from repro.experiments import fleet
+
             results.append(
                 fleet.run(
                     seed=seed,
@@ -186,6 +193,8 @@ def run_all(
                 )
             )
         elif experiment_id == "scenarios":
+            from repro.experiments import scenarios
+
             results.append(
                 scenarios.run(
                     seed=seed,
@@ -275,9 +284,8 @@ def _run_all_parallel(
     # The shared, fleet, and scenarios experiments fan out their own
     # finer-grained jobs (shared-mix/fleet cells, scenario replays), so
     # they run at this level rather than as one coarse job each.
-    remote_ids = tuple(
-        e for e in experiment_ids if e not in ("shared", "fleet", "scenarios")
-    )
+    local_ids = ("shared", "fleet", "scenarios")
+    remote_ids = tuple(e for e in experiment_ids if e not in local_ids)
     specs = experiment_specs(
         remote_ids,
         seed=seed,
@@ -292,32 +300,25 @@ def _run_all_parallel(
         experiment_id: result_from_dict(payload["result"])
         for experiment_id, payload in zip(remote_ids, payloads)
     }
-    local = {
-        "shared": lambda: shared.run(
+
+    def run_local(experiment_id: str) -> ExperimentResult:
+        if experiment_id == "shared":
+            from repro.experiments import shared as module
+        elif experiment_id == "fleet":
+            from repro.experiments import fleet as module
+        else:
+            from repro.experiments import scenarios as module
+        return module.run(
             seed=seed,
             scale_multiplier=scale_multiplier,
             quick=bool(subset),
             jobs=jobs,
             store=store,
-        ),
-        "fleet": lambda: fleet.run(
-            seed=seed,
-            scale_multiplier=scale_multiplier,
-            quick=bool(subset),
-            jobs=jobs,
-            store=store,
-        ),
-        "scenarios": lambda: scenarios.run(
-            seed=seed,
-            scale_multiplier=scale_multiplier,
-            quick=bool(subset),
-            jobs=jobs,
-            store=store,
-        ),
-    }
+        )
+
     results = [
-        local[experiment_id]()
-        if experiment_id in local
+        run_local(experiment_id)
+        if experiment_id in local_ids
         else remote[experiment_id]
         for experiment_id in experiment_ids
     ]

@@ -160,18 +160,18 @@ def replay_compiled(sim: CacheSimulator, compiled: CompiledTraceLog) -> None:
     resident_get = resident.get
     known_get = known.get
 
-    # .tolist() converts the packed columns to plain ints once;
-    # array.__getitem__ would re-box every element on every read.
-    # zip re-packs them into per-record tuples, which unpack faster in
-    # the loop than six list subscripts.
+    # zip walks the six packed columns in step and hands the loop one
+    # tuple per record, which unpacks faster than six subscripts.  Each
+    # array iterator boxes an element once, as .tolist() would, but no
+    # per-replay list is built, and nothing past OP_END is converted.
     n = len(compiled.op)
     records = zip(
-        compiled.op.tolist(),
-        compiled.time.tolist(),
-        compiled.trace_id.tolist(),
-        compiled.size.tolist(),
-        compiled.module.tolist(),
-        compiled.repeat.tolist(),
+        compiled.op,
+        compiled.time,
+        compiled.trace_id,
+        compiled.size,
+        compiled.module,
+        compiled.repeat,
     )
     for op, time, trace_id, size, module_id, repeat in records:
         if op == OP_ACCESS:

@@ -16,10 +16,21 @@ simulation core stays single-threaded and deterministic.
 
 from __future__ import annotations
 
-from repro.service.client import ServiceClient
-from repro.service.jobs import JobSpec, job_id, spec_from_dict
-from repro.service.scheduler import JobRecord, Scheduler, run_jobs
-from repro.service.store import ResultStore
+import importlib
+
+#: Each public name -> its module, imported on first access (PEP 562),
+#: so a module that needs only the job specs does not load the HTTP
+#: client or the multiprocessing scheduler.
+_EXPORTS = {
+    "JobRecord": "repro.service.scheduler",
+    "JobSpec": "repro.service.jobs",
+    "ResultStore": "repro.service.store",
+    "Scheduler": "repro.service.scheduler",
+    "ServiceClient": "repro.service.client",
+    "job_id": "repro.service.jobs",
+    "run_jobs": "repro.service.scheduler",
+    "spec_from_dict": "repro.service.jobs",
+}
 
 __all__ = [
     "JobRecord",
@@ -31,3 +42,16 @@ __all__ = [
     "run_jobs",
     "spec_from_dict",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

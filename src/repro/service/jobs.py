@@ -39,9 +39,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 
-from repro.analysis.sanitizer import DEFAULT_STRIDE
 from repro.core.config import GenerationalConfig, PromotionMode
-from repro.errors import ConfigError
+from repro.errors import DEFAULT_STRIDE, ConfigError
 from repro.shared.policy import MIX_KINDS, POLICY_VARIANTS
 from repro.sim.interleave import DEFAULT_QUANTUM, SCHEDULES
 

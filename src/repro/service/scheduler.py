@@ -33,6 +33,8 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import (
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT,
     ConfigError,
     DrainingError,
     JobNotFoundError,
@@ -44,10 +46,6 @@ from repro.service import workers as workers_module
 from repro.service.jobs import JobSpec, job_id as compute_job_id
 from repro.service.store import ResultStoreBase
 
-#: Per-job wall-clock budget; full-scale figure jobs run minutes.
-DEFAULT_TIMEOUT = 900.0
-#: Extra attempts after the first before a job is marked failed.
-DEFAULT_RETRIES = 2
 #: First retry delay; doubles per attempt.
 DEFAULT_BACKOFF = 0.5
 #: Bounded admission: queued-but-unassigned jobs beyond this fail fast.

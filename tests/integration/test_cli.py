@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -18,6 +20,9 @@ class TestParser:
         assert args.experiment == "figure-9"
         assert args.seed == 42
         assert not args.quick
+        # The parser holds the sanitizer's stride default itself, so
+        # --sanitize and job specs see it without the flag.
+        assert args.sanitize_stride == 1024
 
 
 class TestCommands:
@@ -71,6 +76,38 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SECTION-6.1-SWEEP" in out
         assert "BestThreshold" in out
+
+
+class TestLazyVerbs:
+    """Verbs whose handlers import their own subsystem on dispatch, run
+    through ``main`` so each deferred import executes once."""
+
+    def test_profile_writes_pstats_and_timing_json(self, tmp_path, capsys):
+        argv = [
+            "profile", "figure-9", "--quick", "--scale", "64",
+            "--out", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert (tmp_path / "profile_figure-9.prof").stat().st_size > 0
+        timing = json.loads(
+            (tmp_path / "profile_figure-9.json").read_text(encoding="utf-8")
+        )
+        assert timing["experiment"] == "figure-9"
+        assert set(timing["phases"]) == {"workloads", "experiment"}
+        assert json.loads(capsys.readouterr().out) == timing
+
+    def test_loadgen_in_process(self, tmp_path, capsys):
+        assert main(["loadgen", "--quick", "--out", str(tmp_path)]) == 0
+        bench = json.loads(
+            (tmp_path / "BENCH_service.json").read_text(encoding="utf-8")
+        )
+        assert bench["requests"]["errors"] == 0
+        assert bench["requests"]["accepted"] > 0
+        assert (tmp_path / "BENCH_service.txt").exists()
+
+    def test_fetch_unreachable_server_exits_one(self, capsys):
+        assert main(["fetch", "j0", "--server", "http://127.0.0.1:9"]) == 1
+        assert "service error" in capsys.readouterr().err
 
 
 class TestValidation:
