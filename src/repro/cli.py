@@ -196,7 +196,7 @@ def _run_via_server(
 ) -> int:
     from repro.experiments.runner import experiment_specs, render_all
     from repro.service.client import ServiceClient
-    from repro.service.scheduler import TERMINAL_STATES
+    from repro.service.jobs import TERMINAL_STATES
     from repro.service.workers import result_from_dict
 
     client = ServiceClient(args.server)
@@ -621,7 +621,7 @@ def _print_payload(payload: dict) -> None:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
-    from repro.service.scheduler import TERMINAL_STATES
+    from repro.service.jobs import TERMINAL_STATES
 
     spec = _submit_spec(args)
     client = ServiceClient(args.server)

@@ -136,6 +136,13 @@ class CodeCache(abc.ABC):
         trace and evict it again before the effect stream is read."""
         return self._traces.get(trace_id)
 
+    def trace_table(self) -> dict[int, CachedTrace]:
+        """The live trace id -> record table, for hit handlers that
+        touch resident records in place, as :meth:`record_hits` does.
+        Callers only read it and update records: adding or removing an
+        entry would bypass the arena."""
+        return self._traces
+
     def traces(self) -> list[CachedTrace]:
         """All resident traces in arena address order."""
         return [self._traces[tid] for tid in self.arena.trace_ids()]

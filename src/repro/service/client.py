@@ -30,8 +30,7 @@ import time
 from urllib.parse import urlsplit
 
 from repro.errors import ConfigError, OverloadedError, ServiceError
-from repro.service.jobs import JobSpec
-from repro.service.scheduler import TERMINAL_STATES
+from repro.service.jobs import TERMINAL_STATES, JobSpec
 
 #: Extra attempts for idempotent GETs after a transient failure.
 DEFAULT_MAX_RETRIES = 3

@@ -52,6 +52,16 @@ from repro.sim.interleave import DEFAULT_QUANTUM, SCHEDULES
 #: fields).
 JOB_FORMAT = 3
 
+#: Job lifecycle states, as the scheduler records them and the HTTP
+#: API reports them.
+QUEUED = "queued"
+RUNNING = "running"
+DONE = "done"
+FAILED = "failed"
+
+#: States in which a job will make no further progress.
+TERMINAL_STATES = (DONE, FAILED)
+
 #: The supported job kinds.
 JOB_KINDS = (
     "experiment",

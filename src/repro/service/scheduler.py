@@ -43,21 +43,23 @@ from repro.errors import (
 )
 from repro.fastpath import FASTPATH_TOTALS
 from repro.service import workers as workers_module
-from repro.service.jobs import JobSpec, job_id as compute_job_id
+# The job states live with the specs, so the HTTP client reads them
+# without loading this module; they stay importable from here.
+from repro.service.jobs import (
+    DONE,
+    FAILED,
+    QUEUED,
+    RUNNING,
+    TERMINAL_STATES,
+    JobSpec,
+    job_id as compute_job_id,
+)
 from repro.service.store import ResultStoreBase
 
 #: First retry delay; doubles per attempt.
 DEFAULT_BACKOFF = 0.5
 #: Bounded admission: queued-but-unassigned jobs beyond this fail fast.
 DEFAULT_QUEUE_SIZE = 1024
-
-QUEUED = "queued"
-RUNNING = "running"
-DONE = "done"
-FAILED = "failed"
-
-#: States in which a job will make no further progress.
-TERMINAL_STATES = (DONE, FAILED)
 
 
 @dataclass

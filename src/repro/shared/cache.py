@@ -14,8 +14,9 @@ persistent cache never needed:
   the physical copy is evicted only when *every* sharing process has
   unmapped the trace's module.  Evicting earlier would invalidate code
   another process is still mapped to.
-* **Per-process hit accounting** — who is actually reusing the shared
-  copies, for the experiment tables.
+* **Reuse accounting** — how often, and for how many bytes, a process
+  attached to a copy another process compiled.  Who hits the shared
+  copies is each process's own ``hits_by_cache[SHARED_PERSISTENT]``.
 
 Mutating the wrapped arena directly from outside :mod:`repro.shared`
 is a layering violation (enforced by the ``shared-cache-api`` cachelint
@@ -38,8 +39,6 @@ class SharedPersistentCache:
         self._cache = cache
         #: gid -> {process index -> module id it attached with}.
         self._attachments: dict[int, dict[int, int]] = {}
-        #: Hits served, per process index.
-        self.hits_by_process: dict[int, int] = {}
         #: Times attach() reused an already-resident copy.
         self.attach_reuses = 0
         #: Bytes of compilation avoided by those reuses.
@@ -80,6 +79,12 @@ class SharedPersistentCache:
     def trace(self, gid: int) -> CachedTrace:
         """The resident record for *gid* (raises if absent)."""
         return self._cache.get(gid)
+
+    def attachment_table(self) -> dict[int, dict[int, int]]:
+        """The live gid -> ``{process: module id}`` table, for the
+        group's hit handler, which attaches in place as :meth:`attach`
+        does (counting reuses the same way)."""
+        return self._attachments
 
     def fragmentation(self) -> float:
         return self._cache.fragmentation()
@@ -126,30 +131,9 @@ class SharedPersistentCache:
             self.reused_bytes += self._cache.get(gid).size
         holders[process] = module_id
 
-    def touch(self, gid: int, time: int, count: int, process: int) -> CachedTrace:
-        """Record *count* hits by *process* on the shared copy."""
-        trace = self._cache.touch(gid, time, count)
-        self.hits_by_process[process] = (
-            self.hits_by_process.get(process, 0) + count
-        )
-        return trace
-
-    def record_hits(
-        self, process: int, gid: int, time: int, count: int, module_id: int
-    ) -> tuple[()]:
-        """:meth:`attach` plus :meth:`touch` in one call, for a copy the
-        caller knows is resident (the group's shared-cache hit
-        handler); returns the hits' (empty) effects.  A stale caller
-        gets a bare ``KeyError``."""
-        trace = self._cache.touch_resident(gid, time, count)
-        holders = self._attachments[gid]
-        if process not in holders:
-            self.attach_reuses += 1
-            self.reused_bytes += trace.size
-        holders[process] = module_id
-        hits = self.hits_by_process
-        hits[process] = hits.get(process, 0) + count
-        return ()
+    def touch(self, gid: int, time: int, count: int) -> CachedTrace:
+        """Record *count* hits on the shared copy."""
+        return self._cache.touch(gid, time, count)
 
     def detach_module(
         self, process: int, module_id: int

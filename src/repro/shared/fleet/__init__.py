@@ -15,10 +15,10 @@ from three scaling ideas:
   (benchmark, library-reach) content is synthesized and compiled
   once; processes are assignments plus cursors, so memory scales with
   *distinct* workloads, not the process count;
-* **columnar replay** (:class:`FleetSimulator`): the reference
-  simulator's exact record semantics driven over shared compiled
-  columns — byte-identical results at small P, a thousand processes
-  at large P.
+* **packed replay** (:class:`FleetSimulator`): the reference
+  simulator's exact record semantics driven over shared record-major
+  logs — byte-identical results at small P, a thousand processes at
+  large P.
 
 The Zipf library-popularity model feeding heterogeneous fleets lives
 with the composition code (:func:`repro.shared.compose.zipf_reaches`).

@@ -5,7 +5,7 @@
 semantics, the same accounting, the same
 :class:`~repro.shared.manager.SharedCacheGroup` and
 :class:`~repro.shared.identity.TraceInterner` — but driven by
-scheduler segments over shared compiled columns instead of per-record
+scheduler segments over shared record-major logs instead of per-record
 objects over per-process logs.
 
 Equivalence contract: replaying the *same* workloads under the *same*
@@ -22,24 +22,30 @@ make the fleet version scale where the reference cannot:
   state from O(P·traces) to O(D·traces).  Interning still happens per
   create *per process*, so gid identity and duplicate accounting stay
   exactly the reference's.
-* global virtual time is accumulated incrementally from the time
-  column as segments replay — same per-record deltas, no
-  ``ScheduledRecord`` objects.
+* global virtual time needs no per-record bookkeeping: logs are
+  time-ordered (checked once per distinct workload), so within one
+  segment a record's global time is the segment's base plus the
+  record's own time — the reference's per-record deltas, summed.
 
 Hits, nearly every record, are served the way the batched replay loop
 (:mod:`repro.fastpath.replay`) serves them, through the same residency
 core (:mod:`repro.fastpath.residency`): *residency maps* (gid →
-``(cache name, handler, trace record)``) kept only from the
+``(tally slot, handler, trace record)``) kept only from the
 ``Inserted``/``Promoted``/``Evicted`` effects group calls return (the
 group effect contract on
 :class:`~repro.shared.manager.SharedCacheGroup`).  One map covers the
 shared caches; each process that has process-local caches gets its
-own.  A resident access costs one or two map probes plus either an
-in-place trace-record update (plain caches) or one handler call from
-:meth:`~repro.shared.manager.SharedCacheGroup.hit_entries`; the
-reference's ``lookup`` + ``on_hit`` pair stays the path the
-equivalence suite checks them against.  At the end of a replay the
-maps are checked against the group's resident copies.
+own, and a process without local caches probes only the shared map.  A
+resident access costs one map probe (two for a shared hit of a
+process with local caches), either an in-place trace-record update
+(plain caches) or one handler call from
+:meth:`~repro.shared.manager.SharedCacheGroup.hit_entries`, and one
+bump of the process's tally for the serving cache; the tallies become
+``hits_by_cache`` once, at the end.  The reference's ``lookup`` +
+``on_hit`` pair stays the path the equivalence suite checks them
+against.  At the end of a replay the maps are checked against the
+group's resident copies, and each process's hits plus misses against
+the accesses its replayed records hold.
 
 Churned processes add one behavior the reference never needed: a
 process killed early (its stream ``limit``) releases its pins and
@@ -52,7 +58,6 @@ import the package root.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Sequence
 
 from repro.cachesim.stats import CacheStats
@@ -61,15 +66,11 @@ from repro.errors import ConfigError, LogFormatError
 from repro.fastpath import OP_ACCESS, OP_CREATE, OP_END, OP_PIN, OP_UNMAP, OP_UNPIN
 from repro.fastpath import check_residency, fold_effects
 from repro.shared.fleet.scheduler import ProcessStream, stream_segments
-from repro.shared.fleet.workloads import FleetWorkloads
+from repro.shared.fleet.workloads import RECORD_WIDTH, FleetWorkloads
 from repro.shared.identity import TraceInterner
 from repro.shared.manager import SharedCacheGroup
 from repro.shared.simulator import ProcessSummary, SharedSimulationResult
 from repro.sim.interleave import DEFAULT_QUANTUM
-
-#: The local residency map of a process whose group has no
-#: process-local cache: probed on every access, never written.
-_NO_LOCAL = MappingProxyType({})
 
 
 class FleetSimulator:
@@ -146,16 +147,20 @@ class FleetSimulator:
             for process in range(n)
         ]
         self._exited = 0
-        # Residency maps, gid -> (cache name, handler | None,
+        # Residency maps, gid -> (tally slot, handler | None,
         # CachedTrace), kept purely from the effect stream: one for the
-        # shared caches, and one per process for its local caches
-        # (bound at the process's first segment).
+        # shared caches, and one per process that has local caches
+        # (bound at the process's first segment; None otherwise).
         self._shared: dict[int, tuple] = {}
-        self._local: list[dict | MappingProxyType | None] = [None] * n
+        self._local: list[dict | None] = [None] * n
         # Fold prototypes per process: cache name -> (residency map,
-        # cache name, handler | None, cache).
+        # tally slot, handler | None, cache).
         self._protos: list[dict | None] = [None] * n
         self._common_protos: dict | None = None
+        # Cache name -> tally slot, numbered across the group; each
+        # process counts its hits per slot (None until bound).
+        self._slots: dict[str, int] = {}
+        self._tallies: list[list[int] | None] = [None] * n
 
     # ------------------------------------------------------------------
     # Replay
@@ -170,6 +175,7 @@ class FleetSimulator:
         global_time = 0
         shared_get = self._shared.get
         fold = fold_effects
+        width = RECORD_WIDTH
         for segment in stream_segments(
             self.streams,
             schedule=self.schedule,
@@ -183,22 +189,21 @@ class FleetSimulator:
             workload = workloads.distinct[distinct_index]
             known = self._known[distinct_index]
             known_get = known.get
+            tallies = self._tallies[process]
+            if tallies is None:
+                tallies = self._bind(process)
             local = self._local[process]
-            if local is None:
-                local = self._bind(process)
-            local_get = local.get
+            # Without local caches the first probe is the shared one.
+            local_get = shared_get if local is None else local.get
             protos = self._protos[process]
             stats = self._summaries[process].stats
-            hits_by_cache = stats.hits_by_cache
-            hits = 0
-            last = last_time[process]
+            # A record's global time is base + its own time (the logs
+            # are time-ordered).
+            base = global_time - last_time[process]
+            rows = iter(workload.records[width * start : width * stop])
             for code, now, trace_id, size, module_id, repeat in zip(
-                *(column[start:stop] for column in workload.columns)
+                rows, rows, rows, rows, rows, rows
             ):
-                delta = now - last
-                if delta > 0:
-                    global_time += delta
-                last = now
                 if code == OP_ACCESS:
                     info = known_get(trace_id)
                     if info is not None:
@@ -206,25 +211,21 @@ class FleetSimulator:
                         entry = local_get(gid) or shared_get(gid)
                         if entry is not None:
                             # Hot path: a resident access.
-                            cache_name, handler, trace = entry
+                            slot, handler, trace = entry
                             if handler is None:
                                 # Plain hit: mutate the record in place.
                                 trace.access_count += repeat
-                                trace.last_access = global_time
+                                trace.last_access = base + now
                             else:
                                 effects = handler(
-                                    process, gid, global_time, repeat, info[2]
+                                    process, gid, base + now, repeat, info[2]
                                 )
                                 if effects:
                                     fold(effects, protos, stats)
-                            hits += repeat
-                            if cache_name in hits_by_cache:
-                                hits_by_cache[cache_name] += repeat
-                            else:
-                                hits_by_cache[cache_name] = repeat
+                            tallies[slot] += repeat
                             continue
                     self._on_miss(
-                        process, known, trace_id, repeat, global_time
+                        process, known, trace_id, repeat, base + now
                     )
                 elif code == OP_CREATE:
                     self._on_create(
@@ -234,11 +235,11 @@ class FleetSimulator:
                         trace_id,
                         size,
                         module_id,
-                        global_time,
+                        base + now,
                     )
                 elif code == OP_UNMAP:
                     self._on_unmap(
-                        process, workload, known, module_id, global_time
+                        process, workload, known, module_id, base + now
                     )
                 elif code == OP_PIN:
                     self._on_pin(process, known, trace_id)
@@ -246,11 +247,9 @@ class FleetSimulator:
                     self._on_unpin(process, known, trace_id)
                 elif code != OP_END:  # pragma: no cover - closed opcode set
                     raise LogFormatError(f"unhandled opcode {code}")
-            # Every resident access is a hit, so the loop counts them
-            # once per segment.
-            stats.accesses += hits
-            stats.hits += hits
-            last_time[process] = last
+            if stop > start:
+                last_time[process] = workload.records[width * stop - width + 1]
+                global_time = base + last_time[process]
             consumed[process] += stop - start
             stream = self.streams[process]
             if (
@@ -260,6 +259,18 @@ class FleetSimulator:
                 self._on_exit(process, workload, known, global_time)
         self.group.check_invariants()
         self._check_residency()
+        names = list(self._slots)
+        for process, summary in enumerate(self._summaries):
+            stats = summary.stats
+            # accesses comes from the replayed records themselves, so
+            # the stats check compares it against the loop's own hits
+            # plus misses.
+            stats.accesses += workloads.workload_of(process).accesses_in(
+                consumed[process]
+            )
+            for name, hits in zip(names, self._tallies[process] or ()):
+                if hits:
+                    stats.record_hit(name, hits)
         result = SharedSimulationResult(
             group_name=self.group.name,
             schedule=self.schedule,
@@ -324,7 +335,6 @@ class FleetSimulator:
             )
         gid, _size, module_id = info
         stats = self._summaries[process].stats
-        stats.accesses += repeat
         # Conflict miss: regenerate (possibly deduplicated against a
         # shared copy) before execution resumes.
         stats.misses += 1
@@ -332,12 +342,15 @@ class FleetSimulator:
         self._apply_pending_pin(process, trace_id, info)
         remaining = repeat - 1
         if remaining:
-            entry = self._local[process].get(gid) or self._shared.get(gid)
+            local = self._local[process]
+            entry = None if local is None else local.get(gid)
+            if entry is None:
+                entry = self._shared.get(gid)
             if entry is None:
                 # Uncacheable trace: every entry misses.
                 stats.misses += remaining
                 return
-            cache_name, handler, trace = entry
+            slot, handler, trace = entry
             if handler is None:
                 trace.access_count += remaining
                 trace.last_access = time
@@ -345,7 +358,7 @@ class FleetSimulator:
                 effects = handler(process, gid, time, remaining, module_id)
                 if effects:
                     self._absorb(process, effects)
-            stats.record_hit(cache_name, remaining)
+            self._tallies[process][slot] += remaining
 
     def _on_unmap(
         self,
@@ -446,28 +459,36 @@ class FleetSimulator:
                 pending.discard(trace_id)
                 self._held_pins.setdefault(process, set()).add(info[0])
 
-    def _bind(self, process: int) -> dict | MappingProxyType:
-        """Resolve *process*'s hit entries into fold prototypes and
-        give it a residency map for its local caches; returns the map.
+    def _bind(self, process: int) -> list[int]:
+        """Resolve *process*'s hit entries into fold prototypes, give
+        it a residency map if it has local caches, and a tally per
+        cache slot; returns the tallies.
         """
         local: dict = {}
+        slots = self._slots
         protos = {
-            name: (self._shared if shared else local, name, handler, cache)
+            name: (
+                self._shared if shared else local,
+                slots.setdefault(name, len(slots)),
+                handler,
+                cache,
+            )
             for name, shared, handler, cache in self.group.hit_entries(
                 process
             ).values()
         }
-        if not any(target is local for target, _, _, _ in protos.values()):
+        if any(target is local for target, _, _, _ in protos.values()):
+            self._local[process] = local
+        else:
             # Only shared caches: the prototypes do not depend on the
             # process (shared handlers take it as an argument), so
             # every process folds through one table.
-            local = _NO_LOCAL
             if self._common_protos is None:
                 self._common_protos = protos
             protos = self._common_protos
-        self._local[process] = local
         self._protos[process] = protos
-        return local
+        tallies = self._tallies[process] = [0] * len(slots)
+        return tallies
 
     def _absorb(self, process: int, effects: Sequence[Effect]) -> None:
         """Fold an effect list into the residency maps and the acting
@@ -483,12 +504,13 @@ class FleetSimulator:
         Raises:
             InvariantViolation: on any drift between maps and caches.
         """
+        bound = [protos for protos in self._protos if protos is not None]
         views = [
             (local, protos)
             for local, protos in zip(self._local, self._protos)
-            if protos is not None
+            if local is not None
         ]
-        if views:
+        if bound:
             # Every process's prototypes cover the shared caches.
-            views.append((self._shared, views[0][1]))
+            views.append((self._shared, bound[0]))
         check_residency(views, sum(self.group.resident_copies().values()))

@@ -5,10 +5,10 @@ process — O(P) record objects even when all P processes run the same
 binary.  A fleet holds the *distinct* workload contents instead:
 
 * each distinct ``(benchmark, library reach)`` pair is synthesized
-  once (through the artifact cache), composed once, and compiled once
-  into one columnar log (:class:`DistinctWorkload`);
+  once (through the artifact cache), composed once, and packed once
+  into one record-major log (:class:`DistinctWorkload`);
 * every process is an *assignment* to a distinct workload — its replay
-  state is just a cursor over the shared columns, so fleet memory is
+  state is just a cursor over the shared records, so fleet memory is
   O(distinct workloads) + O(P) integers, not O(P) logs.
 
 Because per-process library sets are nested catalog prefixes (the
@@ -26,10 +26,13 @@ import the package root.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import islice
+from operator import le
 from typing import Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, LogOrderError
 from repro.fastpath import OP_CREATE, log_columns
 from repro.fastpath.artifacts import cached_log
 from repro.rand import substream
@@ -47,6 +50,10 @@ from repro.workloads.catalog import get_profile
 #: Fraction of fleet processes subject to each churn event kind.
 DEFAULT_CHURN_FRACTION = 0.25
 
+#: Fields per record in :attr:`DistinctWorkload.records`: ``(op, time,
+#: trace_id, size, module, repeat)``, the packed column schema.
+RECORD_WIDTH = 6
+
 
 @dataclass
 class DistinctWorkload:
@@ -54,29 +61,64 @@ class DistinctWorkload:
 
     Attributes:
         name: Display name (mirrors :class:`ProcessWorkload` naming).
-        columns: The packed ``(op, time, trace_id, size, module,
-            repeat)`` columns every assigned process replays.
+        records: The packed log, record-major: record *i* is
+            ``records[RECORD_WIDTH * i : RECORD_WIDTH * (i + 1)]``, the
+            ``(op, time, trace_id, size, module, repeat)`` row every
+            assigned process replays.  Times never decrease.
         keys: Content key per created trace id.
         n_records: Packed record count.
         total_trace_bytes: Sum of created trace sizes (capacity sizing).
         modules: Sorted module ids the workload creates traces in
             (early-exit cleanup unmaps exactly these).
         traces_by_module: Created trace ids grouped by module.
+        n_accesses: Trace entries over the whole log (the repeat
+            field summed).
     """
 
     name: str
-    columns: tuple
+    records: array
     keys: dict[int, TraceKey]
     n_records: int
     total_trace_bytes: int
     modules: tuple[int, ...]
     traces_by_module: dict[int, frozenset[int]]
+    n_accesses: int
+
+    def accesses_in(self, n_records: int) -> int:
+        """Trace entries in the first *n_records* records: what a
+        process replaying that prefix accesses, counted from the log
+        rather than by the replay."""
+        if n_records == self.n_records:
+            return self.n_accesses
+        # The repeat field is each record's last.
+        return sum(
+            self.records[RECORD_WIDTH - 1 : RECORD_WIDTH * n_records : RECORD_WIDTH]
+        )
 
 
 def _distill(workload: ProcessWorkload) -> DistinctWorkload:
-    """Compile one workload's log and index its create structure."""
+    """Compile one workload's log into one record-major array and
+    index its create structure.
+
+    Raises:
+        LogOrderError: when the log's time ever decreases (the fleet
+            engine derives global virtual time from ordered logs).
+    """
     columns = log_columns(workload.log)
-    op, _time, trace_id, size, module, _repeat = columns
+    op, time, trace_id, size, module, repeat = columns
+    if not all(map(le, time, islice(time, 1, None))):
+        index = next(
+            i for i in range(1, len(time)) if time[i] < time[i - 1]
+        )
+        raise LogOrderError(
+            f"{workload.name}: time went backwards at record {index}: "
+            f"{time[index]} after {time[index - 1]}"
+        )
+    n = len(op)
+    records = array("q", (0,)) * (RECORD_WIDTH * n)
+    records[0::RECORD_WIDTH] = array("q", op)
+    for field, column in enumerate(columns[1:], 1):
+        records[field::RECORD_WIDTH] = column
     by_module: dict[int, set[int]] = {}
     total = 0
     for index, code in enumerate(op):
@@ -85,14 +127,15 @@ def _distill(workload: ProcessWorkload) -> DistinctWorkload:
             total += size[index]
     return DistinctWorkload(
         name=workload.name,
-        columns=columns,
+        records=records,
         keys=workload.keys,
-        n_records=len(op),
+        n_records=n,
         total_trace_bytes=total,
         modules=tuple(sorted(by_module)),
         traces_by_module={
             mod: frozenset(traces) for mod, traces in by_module.items()
         },
+        n_accesses=sum(repeat),
     )
 
 

@@ -115,6 +115,51 @@ def _local_handler(
     return local_hit
 
 
+def _touching_handler(
+    cache: CodeCache,
+    tracker: TemperatureTracker | None,
+    shared: SharedPersistentCache | None = None,
+) -> HitHandler:
+    """The hit handler of a *cache* whose hits emit no effects, as one
+    call: observe *tracker*'s temperature (if given), touch the
+    record, and, for the *shared* persistent cache's arena, attach the
+    process to the copy."""
+    traces = cache.trace_table()
+    touch = None if cache.plain_touch else cache.touch_resident
+    state = None if tracker is None else tracker.state_table()
+    half_life = None if tracker is None else tracker.half_life
+    attachments = None if shared is None else shared.attachment_table()
+
+    def touching_hit(process, gid, time, count, module_id):
+        if state is not None:
+            # TemperatureTracker.observe, with its float expressions.
+            seen = state.get(gid)
+            if seen is None:
+                value = 0.0
+            else:
+                value, last = seen
+                if time > last:
+                    value = value * 0.5 ** ((time - last) / half_life)
+            value += count
+            state[gid] = (value, time)
+        if touch is None:
+            trace = traces[gid]
+            trace.access_count += count
+            trace.last_access = time
+        else:
+            trace = touch(gid, time, count)
+        if attachments is not None:
+            # SharedPersistentCache.attach, for a resident copy.
+            holders = attachments[gid]
+            if process not in holders:
+                shared.attach_reuses += 1
+                shared.reused_bytes += trace.size
+            holders[process] = module_id
+        return ()
+
+    return touching_hit
+
+
 class SharedCacheGroup(abc.ABC):
     """N per-process cache views over one sharing policy.
 
@@ -362,7 +407,7 @@ class SharedPersistentGroup(SharedCacheGroup):
         self._shared_entry: HitEntry = (
             SHARED_PERSISTENT,
             True,
-            self._shared_hit_handler(),
+            _touching_handler(self.shared._cache, self._tracker, self.shared),
             self.shared._cache,
         )
         self.name = (
@@ -404,18 +449,13 @@ class SharedPersistentGroup(SharedCacheGroup):
         # A process may hit code it never compiled (or whose own copy
         # already died): it links to the shared copy.
         self.shared.attach(gid, process, module_id)
-        self.shared.touch(gid, time, count, process)
+        self.shared.touch(gid, time, count)
         return AccessOutcome(cache=SHARED_PERSISTENT, effects=[])
 
     def hit_entries(self, process: int) -> dict[str, HitEntry]:
         tracker = self._tracker
         nursery = self._nurseries[process]
         probation = self._probations[process]
-
-        def nursery_hit(process, gid, time, count, module_id):
-            if tracker is not None:
-                tracker.observe(gid, time, count)
-            return nursery.record_hits(gid, time, count)
 
         def probation_hit(process, gid, time, count, module_id):
             if tracker is not None:
@@ -439,7 +479,7 @@ class SharedPersistentGroup(SharedCacheGroup):
             NURSERY: (
                 NURSERY,
                 False,
-                None if plain_nursery else nursery_hit,
+                None if plain_nursery else _touching_handler(nursery, tracker),
                 nursery,
             ),
             PROBATION: (
@@ -538,21 +578,6 @@ class SharedPersistentGroup(SharedCacheGroup):
         yield self.shared._cache
 
     # -- internals -------------------------------------------------------
-
-    def _shared_hit_handler(self) -> HitHandler:
-        """The shared copy's hit handler: observe the temperature,
-        then attach and touch in one :class:`SharedPersistentCache`
-        call."""
-        record_hits = self.shared.record_hits
-        tracker = self._tracker
-        if tracker is None:
-            return record_hits
-
-        def observed_shared_hit(process, gid, time, count, module_id):
-            tracker.observe(gid, time, count)
-            return record_hits(process, gid, time, count, module_id)
-
-        return observed_shared_hit
 
     def _qualifies_on_hit(self, gid: int, trace: CachedTrace, time: int) -> bool:
         if self._tracker is not None:
@@ -773,11 +798,17 @@ class SharedAllGroup(SharedCacheGroup):
         # Every cache is shared and every hit must keep the attachment
         # masks current, so no cache is plain and one entry table
         # serves all processes.
+        plain = self._manager.plain_hit_caches()
         self._entries: dict[str, HitEntry] = {
             cache.name: (
                 cache.name,
                 True,
-                self._attaching_handler(self._manager.hit_handler(cache.name)),
+                self._attaching_handler(
+                    cache,
+                    None
+                    if cache.name in plain
+                    else self._manager.hit_handler(cache.name),
+                ),
                 cache,
             )
             for cache in self._manager.caches()
@@ -876,17 +907,27 @@ class SharedAllGroup(SharedCacheGroup):
         yield from self._manager.caches()
 
     def _attaching_handler(
-        self, handler: Callable[[int, int, int], Sequence[Effect]]
+        self,
+        cache: CodeCache,
+        handler: Callable[[int, int, int], Sequence[Effect]] | None,
     ) -> HitHandler:
-        """Wrap a manager hit handler: apply the hits, then attach the
-        process if its bit is not set yet and drop the bookkeeping of
-        any trace the hits evicted."""
+        """*cache*'s hit handler: apply the hits — in place when
+        *handler* is None (a plain cache), else through the manager's
+        *handler* — then attach the process if its bit is not set yet
+        and drop the bookkeeping of any trace the hits evicted."""
+        traces = cache.trace_table()
         attachments = self._attachments
         attach = self._attach
         sync = self._sync_attachments
 
         def attaching_hit(process, gid, time, count, module_id):
-            effects = handler(gid, time, count)
+            if handler is None:
+                trace = traces[gid]
+                trace.access_count += count
+                trace.last_access = time
+                effects = ()
+            else:
+                effects = handler(gid, time, count)
             if not attachments[gid].get(module_id, 0) >> process & 1:
                 attach(gid, process, module_id)
             if effects:

@@ -138,6 +138,12 @@ class TemperatureTracker:
         self._state[gid] = (value, time)
         return value
 
+    def state_table(self) -> dict[int, tuple[float, int]]:
+        """The live gid -> ``(temperature, last observed time)`` table,
+        for hit handlers that inline :meth:`observe`; they must repeat
+        its float expressions exactly."""
+        return self._state
+
     def temperature(self, gid: int, time: int) -> float:
         """The decayed temperature of *gid* at *time* (0 if unseen)."""
         return self._decayed(gid, time)

@@ -72,14 +72,6 @@ class TestDetach:
 
 
 class TestAccounting:
-    def test_per_process_hits(self, shared):
-        shared.insert(0, 100, time=1, process=0, module_id=7)
-        shared.attach(0, process=1, module_id=7)
-        shared.touch(0, time=5, count=3, process=0)
-        shared.touch(0, time=6, count=2, process=1)
-        shared.touch(0, time=7, count=1, process=1)
-        assert shared.hits_by_process == {0: 3, 1: 3}
-
     def test_capacity_eviction_clears_attachments(self, shared):
         shared.insert(0, 100, time=1, process=0, module_id=7)
         shared.attach(0, process=1, module_id=7)

@@ -10,12 +10,13 @@ import pytest
 from repro.cachesim.simulator import simulate_log
 from repro.core.config import FIGURE9_CONFIGS, GenerationalConfig
 from repro.core.generational import GenerationalCacheManager
-from repro.errors import ConfigError, InvariantViolation
+from repro.errors import ConfigError, InvariantViolation, LogOrderError
 from repro.experiments.evaluation import baseline_capacity
 from repro.experiments.shared import mix_benchmarks, simulate_mix
 from repro.fastpath import pack_columns
 from repro.shared.compose import (
     LIBRARY_CATALOG,
+    ProcessWorkload,
     build_process_workloads,
     zipf_reaches,
 )
@@ -201,6 +202,27 @@ class TestFleetWorkloads:
         with pytest.raises(ConfigError, match="process"):
             FleetWorkloads.from_specs([])
 
+    def test_records_are_the_log_row_by_row(self):
+        workloads = build_process_workloads(
+            ["crafty"], seed=42, scale_multiplier=SCALE
+        )
+        (workload,) = FleetWorkloads.from_process_workloads(workloads).distinct
+        rows = list(workloads[0].log.compile().rows())
+        assert workload.n_records == len(rows)
+        assert workload.records.tolist() == [v for row in rows for v in row]
+        assert workload.n_accesses == sum(row[5] for row in rows)
+        assert workload.accesses_in(7) == sum(row[5] for row in rows[:7])
+
+    def test_time_disorder_rejected(self):
+        # create 1 @ 5, access 1 @ 3: time went backwards.
+        log = pack_columns(
+            "backwards", 0.0, 0,
+            [[1, 2], [5, 3], [1, 1], [64, 0], [0, 0], [0, 1]],
+        )
+        workload = ProcessWorkload(name="backwards", log=log)
+        with pytest.raises(LogOrderError, match="backwards at record 1"):
+            FleetWorkloads.from_process_workloads([workload])
+
     def test_zipf_reaches_shape(self):
         reaches = zipf_reaches(200, 4, seed=42)
         assert len(reaches) == 200
@@ -235,9 +257,10 @@ class TestChurnPlan:
 
 def replay_cell(engine, mix, processes, policy, schedule, seed=42):
     """One :func:`simulate_mix` cell, replayed through *engine*: the
-    fleet engine over compiled columns (as ``simulate_mix`` does), or
+    fleet engine over compiled records (as ``simulate_mix`` does), or
     the reference :class:`MultiProcessSimulator` over materialized
-    per-process logs and the reference interleaver."""
+    per-process logs and the reference interleaver.  Returns the
+    result and the replayed group."""
     workloads = build_process_workloads(
         mix_benchmarks(mix, processes), seed=seed, scale_multiplier=SCALE
     )
@@ -248,15 +271,32 @@ def replay_cell(engine, mix, processes, policy, schedule, seed=42):
         capacities, GenerationalConfig(), sharing_config_for(policy)
     )
     if engine == "fleet":
-        return FleetSimulator(
+        simulator = FleetSimulator(
             group,
             FleetWorkloads.from_process_workloads(workloads),
             schedule=schedule,
             seed=seed,
-        ).run()
-    return MultiProcessSimulator(
-        group, workloads, schedule=schedule, seed=seed
-    ).run()
+        )
+    else:
+        simulator = MultiProcessSimulator(
+            group, workloads, schedule=schedule, seed=seed
+        )
+    return simulator.run(), group
+
+
+def resident_records(group) -> list:
+    """Every cache's resident records, in arena order, as the fields a
+    hit writes: ``(trace_id, access_count, last_access, pinned)``."""
+    return [
+        (
+            cache.name,
+            [
+                (t.trace_id, t.access_count, t.last_access, t.pinned)
+                for t in cache.traces()
+            ],
+        )
+        for cache in group._iter_caches()
+    ]
 
 
 #: Every aggregate simulate_mix reports from the replay outcome.
@@ -276,9 +316,10 @@ OUTCOME_FIELDS = (
 class TestEngineEquivalence:
     """Every shared-cache cell runs on the fleet engine; it must
     reproduce the reference simulator exactly on the paper-scale
-    tables: the aggregates ``simulate_mix`` reports, and every
-    process's counters (hits by serving cache, evictions, promotions,
-    dedup and generated bytes)."""
+    tables: the aggregates ``simulate_mix`` reports, every process's
+    counters (hits by serving cache, evictions, promotions, dedup and
+    generated bytes), and every cache's resident records, whose access
+    counts and last-access times are the hits' global virtual time."""
 
     @pytest.mark.parametrize("mix", ["homogeneous", "heterogeneous"])
     @pytest.mark.parametrize("processes", [2, 4, 8])
@@ -292,16 +333,21 @@ class TestEngineEquivalence:
                 scale_multiplier=SCALE,
                 schedule=schedule,
             )
-            reference = replay_cell(
+            reference, reference_group = replay_cell(
                 "reference", mix, processes, policy, schedule
             )
             assert {key: cell[key] for key in OUTCOME_FIELDS} == {
                 key: getattr(reference, key) for key in OUTCOME_FIELDS
             }, policy
-            fleet = replay_cell("fleet", mix, processes, policy, schedule)
+            fleet, fleet_group = replay_cell(
+                "fleet", mix, processes, policy, schedule
+            )
             assert len(fleet.processes) == len(reference.processes)
             for got, want in zip(fleet.processes, reference.processes):
                 assert got == want, (policy, want.process)
+            assert resident_records(fleet_group) == resident_records(
+                reference_group
+            ), policy
 
 
 def replayed_fleet(policy: str) -> FleetSimulator:
@@ -321,6 +367,39 @@ def replayed_fleet(policy: str) -> FleetSimulator:
     sim = FleetSimulator(group, workloads, seed=42)
     sim.run()
     return sim
+
+
+class _DroppingTally(list):
+    """A tally list that loses every hit counted into it."""
+
+    def __setitem__(self, index, value):
+        pass
+
+
+class _HitLosingSimulator(FleetSimulator):
+    def _bind(self, process):
+        tallies = _DroppingTally(super()._bind(process))
+        self._tallies[process] = tallies
+        return tallies
+
+
+class TestAccessCount:
+    """Each process's accesses come from its replayed records, not from
+    the replay's own hit count, so the stats check can catch lost hits."""
+
+    def test_lost_hits_fail_the_stats_check(self):
+        workloads = FleetWorkloads.from_specs(
+            [("crafty", 1), ("gzip", 1)], seed=42, scale_multiplier=SCALE
+        )
+        capacities = tuple(
+            baseline_capacity(workloads.workload_of(p).total_trace_bytes)
+            for p in range(workloads.n_processes)
+        )
+        group = make_group(
+            capacities, GenerationalConfig(), sharing_config_for("private")
+        )
+        with pytest.raises(InvariantViolation, match="accesses"):
+            _HitLosingSimulator(group, workloads).run()
 
 
 class TestResidencyDriftCheck:
@@ -378,7 +457,8 @@ class TestOneProcessFleet:
         capacity = baseline_capacity(workload.total_trace_bytes)
         group = make_group((capacity,), config, sharing_config_for("private"))
         (summary,) = FleetSimulator(group, fleet).run().processes
-        log = pack_columns(name, 0.0, 0, workload.columns)
+        columns = [workload.records[field::6].tolist() for field in range(6)]
+        log = pack_columns(name, 0.0, 0, columns)
         single = simulate_log(log, GenerationalCacheManager(capacity, config))
         assert summary.stats.promotions > 0
         assert dataclasses.asdict(summary.stats) == dataclasses.asdict(

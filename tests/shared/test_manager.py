@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cachesim.stats import CacheStats
@@ -125,10 +127,12 @@ class TestSharedPersistentGroup:
     def test_hit_on_foreign_shared_copy_attaches(self):
         group = _shared_group()
         _graduate(group, process=0, gid=7, time=10)
+        before = group.shared.trace(7).access_count
         outcome = group.on_hit(1, 7, 60, 2, module_id=3)
         assert outcome.cache == SHARED_PERSISTENT
         assert group.shared.processes_of(7) == (0, 1)
-        assert group.shared.hits_by_process[1] == 2
+        touched = group.shared.trace(7)
+        assert (touched.access_count, touched.last_access) == (before + 2, 60)
 
     def test_unmap_waits_for_last_sharer(self):
         group = _shared_group()
@@ -268,7 +272,8 @@ def _diff_sharing(variant: str) -> SharingConfig:
 
 def _state(group) -> tuple:
     """Everything a hit can change: residency and per-trace counters in
-    every cache, the temperatures and the sharing bookkeeping."""
+    every cache, LRU recency, the temperatures and the sharing
+    bookkeeping."""
     caches = [
         (
             cache.name,
@@ -276,6 +281,7 @@ def _state(group) -> tuple:
                 (t.trace_id, t.access_count, t.last_access, t.pinned)
                 for t in cache.traces()
             ],
+            list(getattr(cache, "_recency", ())),
         )
         for cache in group._iter_caches()
     ]
@@ -289,7 +295,7 @@ def _state(group) -> tuple:
         getattr(group, "_pin_claims", None),
         None
         if shared is None
-        else (shared._attachments, shared.hits_by_process, shared.attach_reuses),
+        else (shared._attachments, shared.attach_reuses, shared.reused_bytes),
     )
 
 
@@ -385,6 +391,23 @@ def _guarded(call, *args):
 
 if HAVE_HYPOTHESIS:
 
+    #: Random operation sequences: (kind, process, gid, module, hit
+    #: count, time advance).
+    DIFF_OPS = st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["insert", "insert", "access", "access", "access",
+                 "unmap", "pin", "unpin"]
+            ),
+            st.integers(min_value=0, max_value=len(DIFF_CAPS) - 1),
+            st.integers(min_value=0, max_value=DIFF_GIDS - 1),
+            st.integers(min_value=0, max_value=2),  # module
+            st.integers(min_value=1, max_value=3),  # hit count
+            st.integers(min_value=0, max_value=12),  # time advance
+        ),
+        max_size=80,
+    )
+
     class TestOneCallHit:
         """A hit served the fleet engine's way, from residency maps
         folded from effects plus the groups' ``hit_entries``, must be
@@ -412,55 +435,65 @@ if HAVE_HYPOTHESIS:
                 ("access", 1, 0, 0, 3, 1),
             ]
         )
-        @given(
-            ops=st.lists(
-                st.tuples(
-                    st.sampled_from(
-                        ["insert", "insert", "access", "access", "access",
-                         "unmap", "pin", "unpin"]
-                    ),
-                    st.integers(min_value=0, max_value=len(DIFF_CAPS) - 1),
-                    st.integers(min_value=0, max_value=DIFF_GIDS - 1),
-                    st.integers(min_value=0, max_value=2),  # module
-                    st.integers(min_value=1, max_value=3),  # hit count
-                    st.integers(min_value=0, max_value=12),  # time advance
-                ),
-                max_size=80,
-            )
-        )
+        @given(ops=DIFF_OPS)
         def test_hit_matches_lookup_plus_on_hit(self, variant, mode, ops):
-            config = GenerationalConfig(
-                nursery_fraction=0.2,
-                probation_fraction=0.4,
-                persistent_fraction=0.4,
-                promotion_threshold=2,
-                promotion_mode=mode,
+            _check_one_call_hits(variant, _diff_config(mode), ops)
+
+        @pytest.mark.parametrize("variant", POLICY_VARIANTS)
+        @settings(max_examples=30, deadline=None)
+        # A nursery hit on the older of two traces reorders recency.
+        @example(
+            ops=[
+                ("insert", 0, 0, 0, 1, 1),
+                ("insert", 0, 1, 0, 1, 1),
+                ("access", 0, 0, 0, 1, 1),
+            ]
+        )
+        @given(ops=DIFF_OPS)
+        def test_touch_hooks_run_on_one_call_hits(self, variant, ops):
+            """LRU caches keep recency in a touch hook, so no hit on
+            them is plain and every handler must run the hook."""
+            config = dataclasses.replace(
+                _diff_config(PromotionMode.ON_HIT), local_policy="lru"
             )
-            reference = make_group(DIFF_CAPS, config, _diff_sharing(variant))
-            candidate = make_group(DIFF_CAPS, config, _diff_sharing(variant))
-            maps = _ResidencyMaps(candidate)
-            time = 0
-            for op in ops:
-                kind, process, gid, module, count, advance = op
-                time += advance
-                if kind == "access":
-                    args = (process, gid, time, count, module)
-                    before = _state(candidate)
-                    expected = _guarded(_reference_access, reference, *args)
-                    got = _guarded(maps.access, *args)
-                    assert got == expected, op
-                    if expected is None:
-                        # Not resident: nothing may change.
-                        assert _state(candidate) == before, op
-                else:
-                    expected = _guarded(_apply, reference, op, time)
-                    got = _guarded(
-                        lambda: _folded(
-                            maps, process, _apply(candidate, op, time)
-                        )
-                    )
-                    assert got == expected, op
-                assert _state(candidate) == _state(reference), op
-                if expected == "cache-full":
-                    return  # a failed placement ends the sequence
-                maps.assert_agrees()
+            _check_one_call_hits(variant, config, ops)
+
+    def _diff_config(mode: PromotionMode) -> GenerationalConfig:
+        return GenerationalConfig(
+            nursery_fraction=0.2,
+            probation_fraction=0.4,
+            persistent_fraction=0.4,
+            promotion_threshold=2,
+            promotion_mode=mode,
+        )
+
+    def _check_one_call_hits(variant, config, ops):
+        """Run *ops* on two identical groups, one answering accesses
+        with ``lookup`` + ``on_hit``, the other from residency maps and
+        ``hit_entries``; returns and state must agree after each op."""
+        reference = make_group(DIFF_CAPS, config, _diff_sharing(variant))
+        candidate = make_group(DIFF_CAPS, config, _diff_sharing(variant))
+        maps = _ResidencyMaps(candidate)
+        time = 0
+        for op in ops:
+            kind, process, gid, module, count, advance = op
+            time += advance
+            if kind == "access":
+                args = (process, gid, time, count, module)
+                before = _state(candidate)
+                expected = _guarded(_reference_access, reference, *args)
+                got = _guarded(maps.access, *args)
+                assert got == expected, op
+                if expected is None:
+                    # Not resident: nothing may change.
+                    assert _state(candidate) == before, op
+            else:
+                expected = _guarded(_apply, reference, op, time)
+                got = _guarded(
+                    lambda: _folded(maps, process, _apply(candidate, op, time))
+                )
+                assert got == expected, op
+            assert _state(candidate) == _state(reference), op
+            if expected == "cache-full":
+                return  # a failed placement ends the sequence
+            maps.assert_agrees()

@@ -133,6 +133,21 @@ class TestModuleCounts:
         modules = loaded_after("import repro.analysis.sanitizer", tmp_path)
         assert unused(modules) == []
 
+    def test_service_client_loads_no_pool_or_simulator(self, tmp_path):
+        """``status``, ``fetch``, ``submit`` and ``loadgen --server``
+        only make HTTP requests: the client must not load the worker
+        pool or anything that simulates."""
+        modules = loaded_after("import repro.service.client", tmp_path)
+        assert "repro.service.jobs" in modules
+        assert {
+            "multiprocessing",
+            "repro.cachesim",
+            "repro.experiments",
+            "repro.shared.manager",
+            "repro.shared.simulator",
+            "repro.shared.compose",
+        }.isdisjoint(modules)
+
     def test_serve_loads_job_modules_before_the_pool_forks(self, tmp_path):
         """``serve`` forks its workers after importing the cluster; a
         sweep-point job's modules must be loaded by then, or every
@@ -168,7 +183,7 @@ class TestLazyRoot:
         assert set(repro.__all__) <= set(namespace)
 
     @pytest.mark.parametrize(
-        "package", ["repro", "repro.analysis", "repro.service"]
+        "package", ["repro", "repro.analysis", "repro.service", "repro.shared"]
     )
     def test_unknown_attribute_raises(self, package):
         module = importlib.import_module(package)
@@ -176,7 +191,9 @@ class TestLazyRoot:
             module.no_such_name  # noqa: B018
         assert not hasattr(module, "no_such_name")
 
-    @pytest.mark.parametrize("package", ["repro.analysis", "repro.service"])
+    @pytest.mark.parametrize(
+        "package", ["repro.analysis", "repro.service", "repro.shared"]
+    )
     def test_subpackage_exports_resolve(self, package):
         module = importlib.import_module(package)
         for name in module.__all__:
