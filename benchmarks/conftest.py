@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.base import ExperimentResult, render_table
+from repro.shared import compose_specs
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -52,3 +53,13 @@ def run_once(benchmark, fn, *args, **kwargs):
     measurement.
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def process_workloads(specs, scale_multiplier: float) -> list:
+    """The one mix builder's workload for each process of *specs*
+    (seed 42), as the reference simulator and interleaver take them."""
+    assignment, composed = compose_specs(
+        specs, seed=42, scale_multiplier=scale_multiplier
+    )
+    distinct = list(composed)
+    return [distinct[index] for index in assignment]

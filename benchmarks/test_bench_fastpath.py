@@ -7,11 +7,14 @@ generational layouts down both replay tiers —
 * **batched**: the batched loop over the packed columns,
 
 asserting the results are identical tier-for-tier and measuring each
-tier's wall time, both in aggregate and per manager.
+tier's time, both in aggregate and per manager.
 
 Besides the pytest-benchmark timings, the module writes
-``benchmarks/results/BENCH_fastpath.json``: per-tier wall times and
-events/second and per-manager speedup rows.  The CI perf-smoke job
+``benchmarks/results/BENCH_fastpath.json``: per-tier times and
+events/second and per-manager speedup rows.  Every time is CPU time at
+the end-to-end benchmark's reference core speed
+(``benchmarks/e2e/refclock.py``), so absolute rows compare across runs
+on a shared, speed-switching core; speedups are taken inside one run.  The CI perf-smoke job
 parses that file and enforces the speedup floor (the in-test
 assertions are deliberately softer, so a loaded laptop doesn't flake
 the suite).
@@ -28,7 +31,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import RESULTS_DIR, run_once
@@ -42,6 +47,9 @@ from repro.experiments.evaluation import baseline_capacity
 from repro.fastpath import FASTPATH_TOTALS, object_path
 from repro.fastpath.artifacts import ARTIFACT_TOTALS
 from repro.overhead.model import TABLE2_COSTS
+
+sys.path.insert(0, str(Path(__file__).parent / "e2e"))
+from refclock import CoreClock  # noqa: E402
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -90,28 +98,29 @@ def _replay_tier(dataset, name, tier, reps):
     """Replay every config over one benchmark on one tier *reps*
     times; returns ``(results, per_manager_seconds)`` — results from
     the last rep (they are deterministic), seconds the per-manager min
-    across reps.  Logs are already materialized so only replay is
-    timed."""
+    across reps, in reference CPU seconds.  Logs are already
+    materialized so only replay is timed."""
     capacity = baseline_capacity(dataset.stats(name).total_trace_bytes)
     log = dataset.log(name) if tier == "object" else dataset.compiled(name)
     results = []
     seconds = []
-    for rep in range(reps):
-        results = []
-        for index, manager in enumerate(_managers(capacity)):
-            sim = CacheSimulator(manager, TABLE2_COSTS)
-            started = time.perf_counter()
-            if tier == "object":
-                with object_path():
+    with CoreClock() as clock:
+        for rep in range(reps):
+            results = []
+            for index, manager in enumerate(_managers(capacity)):
+                sim = CacheSimulator(manager, TABLE2_COSTS)
+                started = time.process_time()
+                if tier == "object":
+                    with object_path():
+                        results.append(sim.run(log))
+                else:
                     results.append(sim.run(log))
-            else:
-                results.append(sim.run(log))
-            elapsed = time.perf_counter() - started
-            if rep == 0:
-                seconds.append(elapsed)
-            elif elapsed < seconds[index]:
-                seconds[index] = elapsed
-    return results, seconds
+                elapsed = time.process_time() - started
+                if rep == 0:
+                    seconds.append(elapsed)
+                elif elapsed < seconds[index]:
+                    seconds[index] = elapsed
+    return results, [clock.reference_seconds(cpu) for cpu in seconds]
 
 
 def _tier_entry(seconds, events):
@@ -213,6 +222,8 @@ def test_bench_fastpath_report(benchmark, dataset):
     report = {
         "quick": QUICK,
         "scale_multiplier": FASTPATH_SCALE,
+        "time_unit": "CPU seconds at the reference core speed "
+        "(benchmarks/e2e/refclock.py)",
         "configs": 1 + len(CONFIGS),
         "benches": _REPORT,
         "total": {

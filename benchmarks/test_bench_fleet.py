@@ -37,20 +37,15 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from conftest import RESULTS_DIR, run_once
+from conftest import RESULTS_DIR, process_workloads, run_once
 
 from repro.core.config import GenerationalConfig
 from repro.experiments.evaluation import baseline_capacity
-from repro.experiments.fleet import (
-    FLEET_MIN_SCALE_MULTIPLIER,
-    fleet_specs,
-    simulate_fleet_cell,
-)
-from repro.experiments.shared import mix_benchmarks
+from repro.experiments.fleet import FLEET_MIN_SCALE_MULTIPLIER, fleet_specs
+from repro.experiments.shared import build_cell, mix_benchmarks, simulate_cell
 from repro.shared import (
     POLICY_VARIANTS,
     MultiProcessSimulator,
-    build_process_workloads,
     make_group,
     sharing_config_for,
 )
@@ -83,7 +78,8 @@ def test_bench_fleet_scaling_cell(benchmark):
     def cell():
         with CoreClock() as clock:
             start = time.process_time()
-            result = simulate_fleet_cell(
+            result = simulate_cell(
+                "fleet",
                 "heterogeneous",
                 1024,
                 "shared-persistent",
@@ -115,28 +111,32 @@ def test_bench_fleet_replay(benchmark):
     """Fleet engine vs reference simulator on one shared-table cell.
 
     Both replay the heterogeneous 8-process cell (round-robin) under
-    every sharing policy against freshly built groups; compiled logs
-    and groups are built outside the timed region.  Each engine's time
-    is its best of :data:`REPLAY_RUNS` process-time runs, alternating
-    which engine goes first.
+    every sharing policy against freshly built groups: the fleet engine
+    the table's own cell, the reference the same processes' workloads
+    from the one mix builder.  Compiled logs and groups are built
+    outside the timed region.  Each engine's time is its best of
+    :data:`REPLAY_RUNS` process-time runs, alternating which engine
+    goes first.
     """
-    workloads = build_process_workloads(
-        mix_benchmarks("heterogeneous", REPLAY_PROCESSES),
+    cell = build_cell(
+        "shared",
+        "heterogeneous",
+        REPLAY_PROCESSES,
         seed=42,
         scale_multiplier=REPLAY_SCALE,
     )
-    capacities = tuple(
-        baseline_capacity(w.log.total_trace_bytes) for w in workloads
+    workloads = process_workloads(
+        [(name, 1) for name in mix_benchmarks("heterogeneous", REPLAY_PROCESSES)],
+        REPLAY_SCALE,
     )
-    fleet_workloads = FleetWorkloads.from_process_workloads(workloads)
     records = sum(len(w.log.records) for w in workloads)
 
     def simulator(engine: str, policy: str):
         group = make_group(
-            capacities, GenerationalConfig(), sharing_config_for(policy)
+            cell.capacities, GenerationalConfig(), sharing_config_for(policy)
         )
         if engine == "fleet":
-            return FleetSimulator(group, fleet_workloads, seed=42)
+            return FleetSimulator(group, cell.workloads, seed=42)
         return MultiProcessSimulator(group, workloads, seed=42)
 
     def measure() -> dict[str, float]:
@@ -185,8 +185,8 @@ def test_bench_interleaver_speedup(benchmark):
     its cost is O(events / quantum).
     """
     processes = 256
-    workloads = build_process_workloads(
-        ["crafty"] * processes, seed=42, scale_multiplier=FLEET_BENCH_SCALE
+    workloads = process_workloads(
+        fleet_specs("homogeneous", processes), FLEET_BENCH_SCALE
     )
     logs = [w.log for w in workloads]
     n_records = sum(len(log.records) for log in logs)

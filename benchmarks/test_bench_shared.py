@@ -8,11 +8,18 @@
 from __future__ import annotations
 
 import pytest
-from conftest import run_once
+from conftest import process_workloads, run_once
 
 from repro.experiments import shared as shared_experiment
-from repro.shared import TraceInterner, TraceKey, build_process_workloads
+from repro.shared import TraceInterner, TraceKey
 from repro.sim.interleave import interleave_logs
+
+
+def mix_workloads(mix: str, processes: int) -> list:
+    """The shared table's (mix, count) processes, one workload each,
+    at scale divisor 4."""
+    names = shared_experiment.mix_benchmarks(mix, processes)
+    return process_workloads([(name, 1) for name in names], 4.0)
 
 
 def test_bench_shared_table(benchmark, publish):
@@ -37,12 +44,7 @@ def test_bench_shared_table(benchmark, publish):
 @pytest.mark.parametrize("processes", [2, 4, 8])
 def test_bench_interleave_throughput(benchmark, processes):
     """Deterministic round-robin merge of N heterogeneous logs."""
-    workloads = build_process_workloads(
-        shared_experiment.mix_benchmarks("heterogeneous", processes),
-        seed=42,
-        scale_multiplier=4.0,
-    )
-    logs = [w.log for w in workloads]
+    logs = [w.log for w in mix_workloads("heterogeneous", processes)]
 
     def merge() -> int:
         return sum(1 for _ in interleave_logs(logs, schedule="round-robin"))
@@ -55,13 +57,8 @@ def test_bench_interleave_throughput(benchmark, processes):
 def test_bench_interner_throughput(benchmark, processes):
     """Interning N processes' workload keys: every cross-process
     duplicate resolves to the gid minted by the first process."""
-    workloads = build_process_workloads(
-        shared_experiment.mix_benchmarks("homogeneous", processes),
-        seed=42,
-        scale_multiplier=4.0,
-    )
     sizes: list[tuple[TraceKey, int]] = []
-    for workload in workloads:
+    for workload in mix_workloads("homogeneous", processes):
         by_id = {r.trace_id: r.size for r in workload.log.creates()}
         sizes.extend((key, by_id[tid]) for tid, key in workload.keys.items())
 

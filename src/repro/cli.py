@@ -570,7 +570,7 @@ def _submit_spec(args: argparse.Namespace):
     """The :class:`JobSpec` a ``submit`` invocation describes.
 
     Either a positional experiment id or a raw ``--spec`` JSON object
-    (any job kind, e.g. a single sweep-point or shared-mix cell); both
+    (any job kind, e.g. a single sweep-point or shared-cell job); both
     validate locally first, so a malformed spec is a ConfigError (exit
     2) before anything reaches the service.
     """
@@ -1023,7 +1023,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument(
         "--spec", default=None, metavar="JSON",
         help="submit a raw job spec object instead of an experiment id "
-        "(any kind: sweep-point, replay, shared-mix, fleet-cell, ...)",
+        "(any kind: sweep-point, replay, shared-cell, ...; a shared-cell "
+        "names its table, shared or fleet, in experiment_id)",
     )
     submit_parser.add_argument("--seed", type=int, default=42)
     submit_parser.add_argument("--scale", type=float, default=1.0)

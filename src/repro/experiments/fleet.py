@@ -8,8 +8,9 @@ datacenter fleet sizes, P ∈ {8 … 1024}, using the
 synthesized and compiled once, processes are cursors over them, and
 the streaming scheduler keeps interleaving cost independent of P.
 
-Fleet cells differ from shared cells in two deliberately realistic
-ways:
+Fleet cells are the shared table's cells
+(:class:`~repro.experiments.shared.SharedCell`, one build and one replay
+for both tables), differing in two deliberately realistic ways:
 
 * **churn** — a deterministic fraction of processes spawn late and/or
   are killed early (:func:`repro.shared.fleet.churn_plan`), exercising
@@ -30,23 +31,10 @@ with P under sharing policies while private compiles O(P) bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.config import GenerationalConfig
-from repro.errors import ConfigError
 from repro.experiments.base import ExperimentResult, attach_provenance
-from repro.experiments.evaluation import baseline_capacity
-from repro.experiments.shared import HETEROGENEOUS_PALETTE, HOMOGENEOUS_BENCHMARK
-from repro.shared import SHARED_PERSISTENT
+from repro.experiments.shared import mix_benchmarks, run_cells
 from repro.shared.compose import LIBRARY_CATALOG, zipf_reaches
-from repro.shared.fleet import (
-    FleetSimulator,
-    FleetWorkloads,
-    ProcessStream,
-    churn_plan,
-)
-from repro.shared.manager import make_group
-from repro.shared.policy import MIX_KINDS, POLICY_VARIANTS, sharing_config_for
+from repro.shared.policy import MIX_KINDS
 from repro.sim.interleave import DEFAULT_QUANTUM
 from repro.units import KB
 
@@ -76,157 +64,12 @@ def fleet_specs(
     Raises:
         ConfigError: for an unknown mix kind or fewer than 2 processes.
     """
-    if mix not in MIX_KINDS:
-        raise ConfigError(
-            f"unknown mix {mix!r}; choose from {', '.join(MIX_KINDS)}"
-        )
-    if processes < 2:
-        raise ConfigError(f"a fleet needs >= 2 processes, got {processes}")
+    benchmarks = mix_benchmarks(mix, processes)
     if mix == "homogeneous":
-        return [(HOMOGENEOUS_BENCHMARK, HOMOGENEOUS_REACH)] * processes
-    reaches = zipf_reaches(processes, len(LIBRARY_CATALOG), seed=seed)
-    return [
-        (HETEROGENEOUS_PALETTE[i % len(HETEROGENEOUS_PALETTE)], reaches[i])
-        for i in range(processes)
-    ]
-
-
-def _shared_hits(policy: str, outcome) -> int:
-    """Hits served out of shared memory under *policy*."""
-    if policy == "shared-all":
-        # The whole hierarchy is shared: every hit is a shared hit.
-        return sum(p.stats.hits for p in outcome.processes)
-    return sum(
-        p.stats.hits_by_cache.get(SHARED_PERSISTENT, 0)
-        for p in outcome.processes
-    )
-
-
-@dataclass(frozen=True)
-class FleetCell:
-    """What every policy of one (mix, process count) fleet cell
-    replays: the workloads, per-process capacities and churn plan do
-    not depend on the sharing policy, so they are built once."""
-
-    mix: str
-    processes: int
-    seed: int
-    workloads: FleetWorkloads
-    capacities: tuple[int, ...]
-    streams: tuple[ProcessStream, ...]
-
-
-def build_fleet_cell(
-    mix: str,
-    processes: int,
-    seed: int = 42,
-    scale_multiplier: float = 1.0,
-) -> FleetCell:
-    """Build the policy-independent inputs of one fleet cell."""
-    workloads = FleetWorkloads.from_specs(
-        fleet_specs(mix, processes, seed=seed),
-        seed=seed,
-        scale_multiplier=scale_multiplier,
-    )
-    capacities = tuple(
-        baseline_capacity(workloads.workload_of(p).total_trace_bytes)
-        for p in range(processes)
-    )
-    return FleetCell(
-        mix=mix,
-        processes=processes,
-        seed=seed,
-        workloads=workloads,
-        capacities=capacities,
-        streams=tuple(churn_plan(workloads.lengths(), seed=seed)),
-    )
-
-
-def replay_fleet_cell(
-    cell: FleetCell,
-    policy: str,
-    schedule: str = "round-robin",
-    quantum: int = DEFAULT_QUANTUM,
-) -> dict[str, object]:
-    """Replay *cell* under *policy* against a fresh cache group.
-
-    Returns:
-        A JSON-safe dict of the cell's aggregate metrics.
-    """
-    group = make_group(
-        cell.capacities, GenerationalConfig(), sharing_config_for(policy)
-    )
-    sim = FleetSimulator(
-        group,
-        cell.workloads,
-        schedule=schedule,
-        seed=cell.seed,
-        quantum=quantum,
-        streams=cell.streams,
-    )
-    outcome = sim.run()
-    compiled = outcome.generated_bytes + outcome.dedup_bytes
-    hits = sum(p.stats.hits for p in outcome.processes)
-    shared_hits = _shared_hits(policy, outcome)
-    return {
-        "mix": cell.mix,
-        "processes": cell.processes,
-        "policy": policy,
-        "schedule": schedule,
-        "quantum": quantum,
-        "seed": cell.seed,
-        "distinct_workloads": len(cell.workloads.distinct),
-        "events": sum(s.effective_length for s in cell.streams),
-        "exited_early": sim.exited_early,
-        "total_capacity": outcome.total_capacity,
-        "accesses": outcome.accesses,
-        "miss_rate": outcome.miss_rate,
-        "generated_bytes": outcome.generated_bytes,
-        "dedup_generations": outcome.dedup_generations,
-        "dedup_bytes": outcome.dedup_bytes,
-        "dedup_ratio": (outcome.dedup_bytes / compiled) if compiled else 0.0,
-        "shared_hit_share": (shared_hits / hits) if hits else 0.0,
-        "resident_bytes": outcome.resident_bytes,
-        "duplicated_bytes": outcome.duplicated_bytes,
-        "unique_content_bytes": outcome.unique_content_bytes,
-    }
-
-
-def simulate_fleet_cell(
-    mix: str,
-    processes: int,
-    policy: str,
-    seed: int = 42,
-    scale_multiplier: float = 1.0,
-    schedule: str = "round-robin",
-    quantum: int = DEFAULT_QUANTUM,
-) -> dict[str, object]:
-    """Simulate one (mix, process count, policy) fleet cell:
-    :func:`build_fleet_cell` then :func:`replay_fleet_cell`.
-
-    The shared unit of work for the ``fleet-cell`` service job and the
-    smoke tests; the serial curve loop builds each (mix, process
-    count) once and replays every policy over it.  Every execution
-    path produces identical numbers.  Churn is always on (the plan is
-    a pure function of the cell's lengths and seed).
-
-    Returns:
-        A JSON-safe dict of the cell's aggregate metrics.
-    """
-    cell = build_fleet_cell(
-        mix, processes, seed=seed, scale_multiplier=scale_multiplier
-    )
-    return replay_fleet_cell(cell, policy, schedule=schedule, quantum=quantum)
-
-
-def _replay_policies(
-    cell: FleetCell, schedule: str, quantum: int
-) -> list[dict[str, object]]:
-    """Every policy's row of *cell*, in :data:`POLICY_VARIANTS` order."""
-    return [
-        replay_fleet_cell(cell, policy, schedule=schedule, quantum=quantum)
-        for policy in POLICY_VARIANTS
-    ]
+        reaches = [HOMOGENEOUS_REACH] * processes
+    else:
+        reaches = zipf_reaches(processes, len(LIBRARY_CATALOG), seed=seed)
+    return list(zip(benchmarks, reaches))
 
 
 def run(
@@ -239,45 +82,15 @@ def run(
     schedule: str = "round-robin",
     quantum: int = DEFAULT_QUANTUM,
 ) -> ExperimentResult:
-    """The fleet scaling-curve table.
-
-    With ``jobs > 1`` every (mix, count, policy) cell is fanned out as
-    one ``fleet-cell`` job over a :mod:`repro.service` worker pool;
-    each cell is the same deterministic :func:`simulate_fleet_cell`
-    call, so the assembled table is identical to a serial run.
-    """
+    """The fleet scaling-curve table (see
+    :func:`~repro.experiments.shared.run_cells` for ``jobs``)."""
     counts = process_counts or (
         QUICK_FLEET_PROCESS_COUNTS if quick else FLEET_PROCESS_COUNTS
     )
     effective_scale = max(scale_multiplier, FLEET_MIN_SCALE_MULTIPLIER)
-    points = [
-        (mix, processes, policy)
-        for mix in MIX_KINDS
-        for processes in counts
-        for policy in POLICY_VARIANTS
-    ]
-    if jobs > 1:
-        cells = _parallel_cells(
-            points, seed, effective_scale, schedule, quantum, jobs, store
-        )
-    else:
-        # One build per (mix, process count), replayed under every
-        # policy; the build is dropped before the next one starts.
-        cells = [
-            row
-            for mix in MIX_KINDS
-            for processes in counts
-            for row in _replay_policies(
-                build_fleet_cell(
-                    mix,
-                    processes,
-                    seed=seed,
-                    scale_multiplier=effective_scale,
-                ),
-                schedule,
-                quantum,
-            )
-        ]
+    by_point = run_cells(
+        "fleet", counts, seed, effective_scale, schedule, quantum, jobs, store
+    )
     result = ExperimentResult(
         experiment_id="fleet",
         title="Fleet-scale shared caches: dedup and hit sharing vs process count",
@@ -292,9 +105,7 @@ def run(
             "ResidentKB",
         ],
     )
-    by_point: dict[tuple[str, int, str], dict[str, object]] = {}
-    for (mix, processes, policy), cell in zip(points, cells):
-        by_point[(mix, processes, policy)] = cell
+    for (mix, processes, policy), cell in by_point.items():
         result.add_row(
             Mix=mix,
             Procs=processes,
@@ -334,35 +145,3 @@ def run(
         quantum=quantum,
         process_counts=list(counts),
     )
-
-
-def _parallel_cells(
-    points: list[tuple[str, int, str]],
-    seed: int,
-    scale_multiplier: float,
-    schedule: str,
-    quantum: int,
-    jobs: int,
-    store,
-) -> list[dict[str, object]]:
-    """Fan every curve cell out as one ``fleet-cell`` job."""
-    # Imported lazily: repro.service replays through this package, so a
-    # module-level import would cycle.
-    from repro.service.jobs import JobSpec
-    from repro.service.scheduler import run_jobs
-
-    specs = [
-        JobSpec(
-            kind="fleet-cell",
-            mix=mix,
-            processes=processes,
-            policy=policy,
-            seed=seed,
-            scale_multiplier=scale_multiplier,
-            schedule=schedule,
-            quantum=quantum,
-        )
-        for mix, processes, policy in points
-    ]
-    payloads = run_jobs(specs, workers=jobs, store=store)
-    return [payload["result"] for payload in payloads]

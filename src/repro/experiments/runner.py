@@ -282,7 +282,7 @@ def _run_all_parallel(
         if experiment_id not in known:
             raise KeyError(f"unknown experiment id {experiment_id!r}")
     # The shared, fleet, and scenarios experiments fan out their own
-    # finer-grained jobs (shared-mix/fleet cells, scenario replays), so
+    # finer-grained jobs (shared-cell jobs, scenario replays), so
     # they run at this level rather than as one coarse job each.
     local_ids = ("shared", "fleet", "scenarios")
     remote_ids = tuple(e for e in experiment_ids if e not in local_ids)

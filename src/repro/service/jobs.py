@@ -8,7 +8,7 @@ never depend on process state or ``PYTHONHASHSEED``).  The result store
 memoizes finished payloads under that id, which is what lets repeated
 figure regenerations skip re-simulating.
 
-Four job kinds cover the service's consumers:
+Six job kinds cover the service's consumers:
 
 * ``experiment`` — regenerate one paper artifact (``figure-9``, …)
   exactly as :func:`repro.experiments.runner.run_all` would.
@@ -17,14 +17,12 @@ Four job kinds cover the service's consumers:
   fans out.
 * ``replay`` — replay a recorded trace log (shipped by path, or inline
   as base64 of the RTL2 binary format) against one cache manager.
-* ``shared-mix`` — one (mix, process count, sharing policy) cell of
-  the cross-process shared-cache table, the unit ``run shared
-  --jobs N`` fans out.
-* ``fleet-cell`` — one (mix, process count, sharing policy) cell of
-  the fleet scaling curve, replayed through the streaming fleet
-  stack (the unit ``run fleet --jobs N`` fans out).  Reuses the
-  shared-mix fields, so adding the kind left every existing job id
-  untouched.
+* ``shared-cell`` — one (mix, process count, sharing policy) cell of
+  a shared-cache table, named by its runner id in ``experiment_id``:
+  ``shared`` (the cross-process table) or ``fleet`` (the fleet
+  scaling curve).  It is the unit ``run shared --jobs N`` and ``run
+  fleet --jobs N`` fan out, and both tables' cells run through
+  :func:`repro.experiments.shared.simulate_cell`.
 * ``scenario`` — replay one registered adversarial scenario (a row of
   the scenario regression table, the unit ``run scenarios --jobs N``
   fans out).
@@ -49,7 +47,9 @@ from repro.sim.interleave import DEFAULT_QUANTUM, SCHEDULES
 #: v2: shared-mix jobs, provenance keys (seed/config_digest) in every
 #: payload.
 #: v3: scenario and calibrate jobs (scenario/target/budget/tolerance
-#: fields).
+#: fields).  The shared-cell kind replaced shared-mix and fleet-cell
+#: without a bump: the kind is in the content address, so no cell id
+#: of the old kinds is ever reused.
 JOB_FORMAT = 3
 
 #: Job lifecycle states, as the scheduler records them and the HTTP
@@ -62,13 +62,15 @@ FAILED = "failed"
 #: States in which a job will make no further progress.
 TERMINAL_STATES = (DONE, FAILED)
 
+#: The tables whose cells ``shared-cell`` jobs replay, by runner id.
+SHARED_CELL_TABLES = ("shared", "fleet")
+
 #: The supported job kinds.
 JOB_KINDS = (
     "experiment",
     "sweep-point",
     "replay",
-    "shared-mix",
-    "fleet-cell",
+    "shared-cell",
     "scenario",
     "calibrate",
 )
@@ -80,7 +82,9 @@ class JobSpec:
 
     Attributes:
         kind: One of :data:`JOB_KINDS`.
-        experiment_id: Paper artifact id (``experiment`` jobs).
+        experiment_id: Paper artifact id (``experiment`` jobs), or the
+            table a ``shared-cell`` job's cell belongs to (one of
+            :data:`SHARED_CELL_TABLES`).
         seed: Master seed for workload synthesis.
         scale_multiplier: Extra scale divisor on profile defaults.
         subset: Benchmark-name restriction (``--quick``'s subset).
@@ -99,11 +103,11 @@ class JobSpec:
         log_inline: Base64 RTL2 bytes of a trace log (``replay`` jobs).
         sanitize: Run the replay under the invariant sanitizer.
         sanitize_stride: Events between sanitizer sweeps.
-        mix: Process-mix kind (``shared-mix`` jobs).
-        processes: Number of concurrent processes (``shared-mix``).
-        policy: Sharing policy variant (``shared-mix``).
-        schedule: Interleaving schedule (``shared-mix``).
-        quantum: Records per scheduling turn (``shared-mix``).
+        mix: Process-mix kind (``shared-cell`` jobs).
+        processes: Number of concurrent processes (``shared-cell``).
+        policy: Sharing policy variant (``shared-cell``).
+        schedule: Interleaving schedule (``shared-cell``).
+        quantum: Records per scheduling turn (``shared-cell``).
         scenario: Registered scenario name (``scenario`` jobs).
         target: Scenario-target dict to fit (``calibrate`` jobs).
         budget: Candidate-evaluation budget (``calibrate`` jobs).
@@ -163,7 +167,12 @@ class JobSpec:
             if not self.benchmark:
                 raise ConfigError("sweep-point jobs need a benchmark")
             self._validate_manager()
-        elif self.kind in ("shared-mix", "fleet-cell"):
+        elif self.kind == "shared-cell":
+            if self.experiment_id not in SHARED_CELL_TABLES:
+                raise ConfigError(
+                    f"shared-cell jobs need an experiment_id from "
+                    f"{SHARED_CELL_TABLES}, got {self.experiment_id!r}"
+                )
             if self.mix not in MIX_KINDS:
                 raise ConfigError(
                     f"{self.kind} jobs need a mix from {MIX_KINDS}, got "

@@ -146,29 +146,13 @@ def _run_replay(spec: JobSpec) -> dict:
     return {"kind": spec.kind, "result": sim_summary(sim, capacity)}
 
 
-def _run_shared_mix(spec: JobSpec) -> dict:
-    # Imported lazily: the shared experiment fans back out through the
+def _run_shared_cell(spec: JobSpec) -> dict:
+    # Imported lazily: the shared-cache tables fan back out through the
     # scheduler for --jobs runs, so a module-level import would cycle.
-    from repro.experiments.shared import simulate_mix
+    from repro.experiments.shared import simulate_cell
 
-    cell = simulate_mix(
-        spec.mix,
-        spec.processes,
-        spec.policy,
-        seed=spec.seed,
-        scale_multiplier=spec.scale_multiplier,
-        schedule=spec.schedule,
-        quantum=spec.quantum,
-    )
-    return {"kind": spec.kind, "result": cell}
-
-
-def _run_fleet_cell(spec: JobSpec) -> dict:
-    # Imported lazily: the fleet experiment fans back out through the
-    # scheduler for --jobs runs, so a module-level import would cycle.
-    from repro.experiments.fleet import simulate_fleet_cell
-
-    cell = simulate_fleet_cell(
+    cell = simulate_cell(
+        spec.experiment_id,
         spec.mix,
         spec.processes,
         spec.policy,
@@ -221,8 +205,7 @@ _EXECUTORS = {
     "experiment": _run_experiment,
     "sweep-point": _run_sweep_point,
     "replay": _run_replay,
-    "shared-mix": _run_shared_mix,
-    "fleet-cell": _run_fleet_cell,
+    "shared-cell": _run_shared_cell,
     "scenario": _run_scenario,
     "calibrate": _run_calibrate,
 }

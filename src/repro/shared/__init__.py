@@ -38,7 +38,7 @@ _EXPORTS = {
     "TemperatureTracker": "repro.shared.policy",
     "TraceInterner": "repro.shared.identity",
     "TraceKey": "repro.shared.identity",
-    "build_process_workloads": "repro.shared.compose",
+    "compose_specs": "repro.shared.compose",
     "make_group": "repro.shared.manager",
     "sharing_config_for": "repro.shared.policy",
 }
@@ -58,7 +58,7 @@ __all__ = [
     "TemperatureTracker",
     "TraceInterner",
     "TraceKey",
-    "build_process_workloads",
+    "compose_specs",
     "make_group",
     "sharing_config_for",
 ]

@@ -21,14 +21,17 @@ the id remapping and the sha256 content keys are computed a single
 time, and every app the library links into reuses the prepared form —
 only the per-app time rescale runs per merge.
 
-Fleet-scale mixes replace the single fixed overlay with a *catalog* of
-libraries ranked by popularity (:data:`LIBRARY_CATALOG`).  Each process
-draws a **reach** from a seeded Zipf distribution
-(:func:`zipf_reaches`) and links the top-``reach`` catalog entries, so
-the rank-``i`` library is mapped by a Zipf-shaped share of the fleet
-(``P(reach > i)``) while per-process library sets stay nested prefixes
-— which bounds the number of *distinct* workload contents by
-``len(palette) * len(catalog)`` regardless of the process count.
+Libraries form a *catalog* ranked by popularity
+(:data:`LIBRARY_CATALOG`), and each process links the top-``reach``
+entries.  The paper-scale table links every process to the rank-0
+overlay (reach 1); a fleet process draws its reach from a seeded Zipf
+distribution (:func:`zipf_reaches`), so the rank-``i`` library is
+mapped by a Zipf-shaped share of the fleet (``P(reach > i)``) while
+per-process library sets stay nested prefixes — which bounds the
+number of *distinct* workload contents by ``len(palette) *
+len(catalog)`` regardless of the process count.  :func:`compose_specs`
+builds every process mix from one ``(benchmark, reach)`` spec per
+process.
 
 Library ``ModuleUnmap`` records are dropped during the overlay: a
 shared library outlives any one process's phases, and per-process
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import ConfigError
 from repro.rand import derive_seed, substream
@@ -70,17 +73,13 @@ LIBRARY_TRACE_BASE = 1 << 24
 #: Library module ids are remapped above every app module id.
 LIBRARY_MODULE_BASE = 1 << 20
 
-#: Benchmark profile the shared-library overlay is synthesized from.
-DEFAULT_LIBRARY = "gap"
-
 #: Extra scale divisor on the library profile (shrinks the library
 #: relative to the app it is linked into).
 DEFAULT_LIBRARY_SCALE = 2.0
 
-#: Library catalog of the fleet mixes, in popularity-rank order.  The
-#: rank-0 entry is the classic overlay (same profile, same seed
-#: derivation), so a reach-1 fleet process is byte-identical to the
-#: existing heterogeneous composition.
+#: Library catalog, in popularity-rank order.  The rank-0 entry is the
+#: one overlay every process of the paper-scale shared table links
+#: (reach 1); fleet processes link Zipf-drawn prefixes of the catalog.
 LIBRARY_CATALOG = ("gap", "mcf", "art", "eon")
 
 #: Zipf skew of the per-process library-reach draw.
@@ -288,19 +287,6 @@ def compose_with_libraries(
     return ProcessWorkload(name=merged.benchmark, log=merged, keys=keys)
 
 
-def compose_with_library(
-    app_name: str, app_log: TraceLog, library_log: TraceLog
-) -> ProcessWorkload:
-    """Link one shared-library overlay into one process's log.
-
-    Small-N convenience over :func:`prepare_library` +
-    :func:`compose_with_libraries`; callers composing many apps against
-    the same library should prepare it once instead.
-    """
-    prepared = prepare_library(DEFAULT_LIBRARY, library_log, rank=0)
-    return compose_with_libraries(app_name, app_log, [prepared])
-
-
 def zipf_reaches(
     processes: int,
     catalog_size: int,
@@ -343,28 +329,27 @@ def build_library_catalog(
     seed: int = 42,
     scale_multiplier: float = 1.0,
     reach: int = 1,
-    catalog: Sequence[str] = LIBRARY_CATALOG,
     library_scale: float = DEFAULT_LIBRARY_SCALE,
 ) -> list[PreparedLibrary]:
     """Synthesize and prepare the top-``reach`` catalog libraries.
 
-    The rank-0 entry keeps the classic ``shared.library`` seed
-    derivation (so reach-1 compositions reproduce the fixed-overlay
-    workloads exactly); deeper ranks derive per-library seeds.
+    The rank-0 library, the one overlay of the paper-scale shared
+    table, derives its seed from ``shared.library``; deeper ranks
+    derive per-library seeds.
 
     Raises:
-        ConfigError: for a reach outside ``[0, len(catalog)]`` or a
-            non-positive library scale.
+        ConfigError: for a reach outside ``[0, len(LIBRARY_CATALOG)]``
+            or a non-positive library scale.
     """
-    if not 0 <= reach <= len(catalog):
+    if not 0 <= reach <= len(LIBRARY_CATALOG):
         raise ConfigError(
-            f"library reach must be in [0, {len(catalog)}], got {reach}"
+            f"library reach must be in [0, {len(LIBRARY_CATALOG)}], got {reach}"
         )
     if library_scale <= 0:
         raise ConfigError(f"library scale must be > 0, got {library_scale:g}")
     prepared: list[PreparedLibrary] = []
     for rank in range(reach):
-        name = catalog[rank]
+        name = LIBRARY_CATALOG[rank]
         profile = get_profile(name)
         lib_seed = (
             derive_seed(seed, "shared.library")
@@ -380,53 +365,62 @@ def build_library_catalog(
     return prepared
 
 
-def build_process_workloads(
-    benchmarks: list[str],
+def compose_specs(
+    specs: Sequence[tuple[str, int]],
     seed: int = 42,
     scale_multiplier: float = 1.0,
-    library: str | None = DEFAULT_LIBRARY,
-    library_scale: float = DEFAULT_LIBRARY_SCALE,
-) -> list[ProcessWorkload]:
-    """One workload per entry of *benchmarks* (index = process id).
+) -> tuple[list[int], Iterator[ProcessWorkload]]:
+    """Compose a process mix from one ``(benchmark, library reach)``
+    spec per process (index = process id).
 
-    Repeated benchmark names produce content-identical workloads (same
-    binary run twice); with *library* set, every process additionally
-    links the same shared-library overlay (prepared once, however many
-    distinct apps it links into).
+    Returns the assignment of each process to a distinct spec (numbered
+    in order of first appearance) and an iterator that composes the
+    distinct workloads in that order, one at a time, so a caller that
+    packs each one can drop it before the next is built.  App logs are
+    synthesized once per distinct benchmark and the library catalog
+    once per rank, so synthesis work does not grow with the process
+    count.
 
     Raises:
-        ConfigError: for an empty mix or a non-positive library scale.
+        ConfigError: for an empty mix or a reach outside the catalog.
     """
-    if not benchmarks:
-        raise ConfigError("a process mix needs at least one benchmark")
-    if library is not None and library_scale <= 0:
-        raise ConfigError(f"library scale must be > 0, got {library_scale:g}")
-    prepared: list[PreparedLibrary] = []
-    if library is not None:
-        profile = get_profile(library)
-        library_log = cached_log(
-            profile,
-            seed=derive_seed(seed, "shared.library"),
-            scale=profile.default_scale * scale_multiplier * library_scale,
-        )
-        prepared = [prepare_library(library, library_log, rank=0)]
-    composed: dict[str, ProcessWorkload] = {}
-    workloads: list[ProcessWorkload] = []
-    for name in benchmarks:
-        if name not in composed:
-            profile = get_profile(name)
-            app_log = cached_log(
+    if not specs:
+        raise ConfigError("a process mix needs at least one process")
+    index_of: dict[tuple[str, int], int] = {}
+    assignment = [index_of.setdefault(spec, len(index_of)) for spec in specs]
+    for benchmark, reach in index_of:
+        if not 0 <= reach <= len(LIBRARY_CATALOG):
+            raise ConfigError(
+                f"library reach must be in [0, {len(LIBRARY_CATALOG)}], got "
+                f"{reach} for {benchmark!r}"
+            )
+    return assignment, _compose_distinct(list(index_of), seed, scale_multiplier)
+
+
+def _compose_distinct(
+    specs: list[tuple[str, int]], seed: int, scale_multiplier: float
+) -> Iterator[ProcessWorkload]:
+    """Each distinct spec's workload, composed on demand."""
+    libraries = build_library_catalog(
+        seed=seed,
+        scale_multiplier=scale_multiplier,
+        reach=max(reach for _, reach in specs),
+    )
+    app_logs: dict[str, TraceLog] = {}
+    for benchmark, reach in specs:
+        if benchmark not in app_logs:
+            profile = get_profile(benchmark)
+            app_logs[benchmark] = cached_log(
                 profile,
                 seed=seed,
                 scale=profile.default_scale * scale_multiplier,
             )
-            if not prepared:
-                composed[name] = ProcessWorkload(
-                    name=name, log=app_log, keys=workload_keys(name, app_log)
-                )
-            else:
-                composed[name] = compose_with_libraries(
-                    name, app_log, prepared
-                )
-        workloads.append(composed[name])
-    return workloads
+        app_log = app_logs[benchmark]
+        if reach:
+            yield compose_with_libraries(benchmark, app_log, libraries[:reach])
+        else:
+            yield ProcessWorkload(
+                name=benchmark,
+                log=app_log,
+                keys=workload_keys(benchmark, app_log),
+            )

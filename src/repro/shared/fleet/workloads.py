@@ -1,12 +1,12 @@
 """Lazy per-process workloads over shared compiled logs (fleet internals).
 
-``build_process_workloads`` materializes one object ``TraceLog`` per
-process — O(P) record objects even when all P processes run the same
-binary.  A fleet holds the *distinct* workload contents instead:
+A fleet holds the *distinct* workload contents of a process mix, not
+one log per process:
 
 * each distinct ``(benchmark, library reach)`` pair is synthesized
-  once (through the artifact cache), composed once, and packed once
-  into one record-major log (:class:`DistinctWorkload`);
+  once (through the artifact cache), composed once by
+  :func:`repro.shared.compose.compose_specs`, and packed once into one
+  record-major log (:class:`DistinctWorkload`);
 * every process is an *assignment* to a distinct workload — its replay
   state is just a cursor over the shared records, so fleet memory is
   O(distinct workloads) + O(P) integers, not O(P) logs.
@@ -34,18 +34,10 @@ from typing import Sequence
 
 from repro.errors import ConfigError, LogOrderError
 from repro.fastpath import OP_CREATE, log_columns
-from repro.fastpath.artifacts import cached_log
 from repro.rand import substream
-from repro.shared.compose import (
-    LIBRARY_CATALOG,
-    ProcessWorkload,
-    build_library_catalog,
-    compose_with_libraries,
-    workload_keys,
-)
+from repro.shared.compose import ProcessWorkload, compose_specs
 from repro.shared.fleet.scheduler import ProcessStream
 from repro.shared.identity import TraceKey
-from repro.workloads.catalog import get_profile
 
 #: Fraction of fleet processes subject to each churn event kind.
 DEFAULT_CHURN_FRACTION = 0.25
@@ -169,91 +161,27 @@ class FleetWorkloads:
         return [self.workload_of(p).n_records for p in range(self.n_processes)]
 
     @classmethod
-    def from_process_workloads(
-        cls, workloads: Sequence[ProcessWorkload]
-    ) -> "FleetWorkloads":
-        """Wrap eagerly built workloads (the small-P compatibility path).
-
-        ``build_process_workloads`` reuses one ``ProcessWorkload``
-        object per distinct benchmark, so identity-dedup recovers the
-        distinct set without hashing any content.
-        """
-        distinct: list[DistinctWorkload] = []
-        index_of: dict[int, int] = {}
-        assignment: list[int] = []
-        for workload in workloads:
-            key = id(workload)
-            if key not in index_of:
-                index_of[key] = len(distinct)
-                distinct.append(_distill(workload))
-            assignment.append(index_of[key])
-        return cls(distinct, assignment)
-
-    @classmethod
     def from_specs(
         cls,
         specs: Sequence[tuple[str, int]],
         seed: int = 42,
         scale_multiplier: float = 1.0,
-        catalog: Sequence[str] = LIBRARY_CATALOG,
     ) -> "FleetWorkloads":
-        """Lazily synthesize a fleet from ``(benchmark, reach)`` specs.
+        """Lazily build a fleet from ``(benchmark, reach)`` specs.
 
-        Each distinct spec is synthesized/composed/compiled exactly
-        once; the remaining P − D processes only record an assignment.
-        App logs are synthesized once per distinct *benchmark* and the
-        library catalog once per distinct *rank*, so total synthesis
-        work is independent of the process count.
+        :func:`~repro.shared.compose.compose_specs` composes each
+        distinct spec once, and each composed workload is packed before
+        the next one is composed; the remaining P − D processes only
+        record an assignment.
 
         Raises:
             ConfigError: for an empty fleet or a reach outside the
                 catalog.
         """
-        if not specs:
-            raise ConfigError("a fleet needs at least one process")
-        max_reach = 0
-        for benchmark, reach in specs:
-            if not 0 <= reach <= len(catalog):
-                raise ConfigError(
-                    f"library reach must be in [0, {len(catalog)}], got "
-                    f"{reach} for {benchmark!r}"
-                )
-            max_reach = max(max_reach, reach)
-        libraries = build_library_catalog(
-            seed=seed,
-            scale_multiplier=scale_multiplier,
-            reach=max_reach,
-            catalog=catalog,
+        assignment, composed = compose_specs(
+            specs, seed=seed, scale_multiplier=scale_multiplier
         )
-        app_logs: dict[str, object] = {}
-        distinct: list[DistinctWorkload] = []
-        index_of: dict[tuple[str, int], int] = {}
-        assignment: list[int] = []
-        for benchmark, reach in specs:
-            key = (benchmark, reach)
-            if key not in index_of:
-                if benchmark not in app_logs:
-                    profile = get_profile(benchmark)
-                    app_logs[benchmark] = cached_log(
-                        profile,
-                        seed=seed,
-                        scale=profile.default_scale * scale_multiplier,
-                    )
-                app_log = app_logs[benchmark]
-                if reach:
-                    workload = compose_with_libraries(
-                        benchmark, app_log, libraries[:reach]
-                    )
-                else:
-                    workload = ProcessWorkload(
-                        name=benchmark,
-                        log=app_log,
-                        keys=workload_keys(benchmark, app_log),
-                    )
-                index_of[key] = len(distinct)
-                distinct.append(_distill(workload))
-            assignment.append(index_of[key])
-        return cls(distinct, assignment)
+        return cls([_distill(workload) for workload in composed], assignment)
 
 
 def churn_plan(

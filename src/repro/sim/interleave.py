@@ -20,11 +20,13 @@ the per-process clocks run independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.errors import ConfigError
 from repro.rand import substream
-from repro.tracelog.records import LogRecord, TraceLog
+
+if TYPE_CHECKING:
+    from repro.tracelog.records import LogRecord, TraceLog
 
 #: Supported schedule names.
 SCHEDULES = ("round-robin", "random")

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import fleet
+from repro.experiments import fleet, shared
 from repro.experiments.base import ExperimentResult, render_table
 from repro.shared.compose import LIBRARY_CATALOG
 from repro.shared.fleet import FleetSimulator
@@ -31,7 +31,7 @@ class TestFleetSpecs:
     def test_heterogeneous_cycles_palette_with_zipf_reach(self):
         specs = fleet.fleet_specs("heterogeneous", 16)
         assert len(specs) == 16
-        assert {b for b, _ in specs} == set(fleet.HETEROGENEOUS_PALETTE)
+        assert {b for b, _ in specs} == set(shared.HETEROGENEOUS_PALETTE)
         assert all(1 <= r <= len(LIBRARY_CATALOG) for _, r in specs)
 
     def test_specs_deterministic_per_seed(self):
@@ -50,17 +50,17 @@ class TestFleetSpecs:
 
 class TestCell:
     def test_cell_is_deterministic(self):
-        a = fleet.simulate_fleet_cell(
-            "heterogeneous", 8, "shared-persistent", scale_multiplier=128
+        a = shared.simulate_cell(
+            "fleet", "heterogeneous", 8, "shared-persistent", scale_multiplier=128
         )
-        b = fleet.simulate_fleet_cell(
-            "heterogeneous", 8, "shared-persistent", scale_multiplier=128
+        b = shared.simulate_cell(
+            "fleet", "heterogeneous", 8, "shared-persistent", scale_multiplier=128
         )
         assert a == b
 
     def test_cell_reports_fleet_metrics(self):
-        cell = fleet.simulate_fleet_cell(
-            "heterogeneous", 8, "shared-persistent", scale_multiplier=128
+        cell = shared.simulate_cell(
+            "fleet", "heterogeneous", 8, "shared-persistent", scale_multiplier=128
         )
         assert cell["processes"] == 8
         assert 0 < cell["distinct_workloads"] <= 8
@@ -69,15 +69,15 @@ class TestCell:
         assert 0.0 <= cell["shared_hit_share"] <= 1.0
 
     def test_private_policy_never_shares(self):
-        cell = fleet.simulate_fleet_cell(
-            "homogeneous", 8, "private", scale_multiplier=128
+        cell = shared.simulate_cell(
+            "fleet", "homogeneous", 8, "private", scale_multiplier=128
         )
         assert cell["shared_hit_share"] == 0
         assert cell["dedup_bytes"] == 0
 
     def test_shared_all_counts_every_hit_as_shared(self):
-        cell = fleet.simulate_fleet_cell(
-            "homogeneous", 8, "shared-all", scale_multiplier=128
+        cell = shared.simulate_cell(
+            "fleet", "homogeneous", 8, "shared-all", scale_multiplier=128
         )
         assert cell["shared_hit_share"] == pytest.approx(1.0)
 
@@ -163,9 +163,9 @@ def _digest(value) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _golden_build(mix: str) -> fleet.FleetCell:
-    return fleet.build_fleet_cell(
-        mix, GOLDEN_PROCESSES, seed=42, scale_multiplier=GOLDEN_SCALE
+def _golden_build(mix: str) -> shared.SharedCell:
+    return shared.build_cell(
+        "fleet", mix, GOLDEN_PROCESSES, seed=42, scale_multiplier=GOLDEN_SCALE
     )
 
 
@@ -183,11 +183,11 @@ class TestChurnedFleetGolden:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("mix", ["homogeneous", "heterogeneous"])
     def test_cells_and_processes_match_golden(self, mix, schedule, monkeypatch):
-        monkeypatch.setattr(fleet, "FleetSimulator", _RecordingSimulator)
+        monkeypatch.setattr(shared, "FleetSimulator", _RecordingSimulator)
         cell = _golden_build(mix)
         exits = 0
         for policy in POLICY_VARIANTS:
-            row = fleet.replay_fleet_cell(cell, policy, schedule=schedule)
+            row = shared.replay_cell(cell, policy, schedule=schedule)
             processes = [
                 dataclasses.asdict(summary)
                 for summary in _RecordingSimulator.outcome.processes
@@ -199,10 +199,11 @@ class TestChurnedFleetGolden:
         assert exits > 0  # the churn plan killed processes early
 
     def test_split_cell_matches_simulate_fleet_cell(self):
-        row = fleet.replay_fleet_cell(
+        row = shared.replay_cell(
             _golden_build("heterogeneous"), "shared-persistent-temp"
         )
-        assert row == fleet.simulate_fleet_cell(
+        assert row == shared.simulate_cell(
+            "fleet",
             "heterogeneous",
             GOLDEN_PROCESSES,
             "shared-persistent-temp",

@@ -12,12 +12,12 @@ from repro.core.config import FIGURE9_CONFIGS, GenerationalConfig
 from repro.core.generational import GenerationalCacheManager
 from repro.errors import ConfigError, InvariantViolation, LogOrderError
 from repro.experiments.evaluation import baseline_capacity
-from repro.experiments.shared import mix_benchmarks, simulate_mix
+from repro.experiments.shared import build_cell, mix_benchmarks, replay_cell
 from repro.fastpath import pack_columns
 from repro.shared.compose import (
     LIBRARY_CATALOG,
     ProcessWorkload,
-    build_process_workloads,
+    compose_specs,
     zipf_reaches,
 )
 from repro.shared.fleet import (
@@ -27,10 +27,12 @@ from repro.shared.fleet import (
     churn_plan,
     stream_segments,
 )
+from repro.shared.fleet.workloads import _distill
 from repro.shared.manager import make_group
 from repro.shared.policy import POLICY_VARIANTS, sharing_config_for
 from repro.shared.simulator import MultiProcessSimulator
 from repro.sim.interleave import SCHEDULES
+from tests.shared.test_simulator import composed
 from tests.sim.test_interleave import (
     GOLDEN_SCHEDULE_DIGESTS,
     golden_logs,
@@ -203,11 +205,13 @@ class TestFleetWorkloads:
             FleetWorkloads.from_specs([])
 
     def test_records_are_the_log_row_by_row(self):
-        workloads = build_process_workloads(
-            ["crafty"], seed=42, scale_multiplier=SCALE
-        )
-        (workload,) = FleetWorkloads.from_process_workloads(workloads).distinct
-        rows = list(workloads[0].log.compile().rows())
+        specs = [("crafty", 1)]
+        (workload,) = FleetWorkloads.from_specs(
+            specs, seed=42, scale_multiplier=SCALE
+        ).distinct
+        _, distinct = compose_specs(specs, seed=42, scale_multiplier=SCALE)
+        (process,) = distinct
+        rows = list(process.log.compile().rows())
         assert workload.n_records == len(rows)
         assert workload.records.tolist() == [v for row in rows for v in row]
         assert workload.n_accesses == sum(row[5] for row in rows)
@@ -221,7 +225,7 @@ class TestFleetWorkloads:
         )
         workload = ProcessWorkload(name="backwards", log=log)
         with pytest.raises(LogOrderError, match="backwards at record 1"):
-            FleetWorkloads.from_process_workloads([workload])
+            _distill(workload)
 
     def test_zipf_reaches_shape(self):
         reaches = zipf_reaches(200, 4, seed=42)
@@ -255,32 +259,44 @@ class TestChurnPlan:
             churn_plan([10], fraction=1.5)
 
 
-def replay_cell(engine, mix, processes, policy, schedule, seed=42):
-    """One :func:`simulate_mix` cell, replayed through *engine*: the
-    fleet engine over compiled records (as ``simulate_mix`` does), or
-    the reference :class:`MultiProcessSimulator` over materialized
-    per-process logs and the reference interleaver.  Returns the
-    result and the replayed group."""
-    workloads = build_process_workloads(
-        mix_benchmarks(mix, processes), seed=seed, scale_multiplier=SCALE
-    )
+def reference_workloads(mix, processes, seed=42):
+    """A ``shared`` table cell's per-process workloads, materialized
+    by the one mix builder for the reference simulator."""
+    specs = [(name, 1) for name in mix_benchmarks(mix, processes)]
+    return composed(specs, seed=seed, scale_multiplier=SCALE)
+
+
+def replay_reference(workloads, policy, schedule, seed=42):
+    """*workloads* replayed by the reference
+    :class:`MultiProcessSimulator` over per-process logs and the
+    reference interleaver.  Returns the result and the replayed
+    group."""
     capacities = tuple(
         baseline_capacity(w.log.total_trace_bytes) for w in workloads
     )
     group = make_group(
         capacities, GenerationalConfig(), sharing_config_for(policy)
     )
-    if engine == "fleet":
-        simulator = FleetSimulator(
-            group,
-            FleetWorkloads.from_process_workloads(workloads),
-            schedule=schedule,
-            seed=seed,
-        )
-    else:
-        simulator = MultiProcessSimulator(
-            group, workloads, schedule=schedule, seed=seed
-        )
+    simulator = MultiProcessSimulator(
+        group, workloads, schedule=schedule, seed=seed
+    )
+    return simulator.run(), group
+
+
+def replay_fleet(cell, policy, schedule):
+    """A production cell replayed by the fleet engine exactly as
+    :func:`replay_cell` replays it.  Returns the result and the
+    replayed group."""
+    group = make_group(
+        cell.capacities, GenerationalConfig(), sharing_config_for(policy)
+    )
+    simulator = FleetSimulator(
+        group,
+        cell.workloads,
+        schedule=schedule,
+        seed=cell.seed,
+        streams=cell.streams,
+    )
     return simulator.run(), group
 
 
@@ -299,7 +315,7 @@ def resident_records(group) -> list:
     ]
 
 
-#: Every aggregate simulate_mix reports from the replay outcome.
+#: Every aggregate replay_cell reports straight from the replay outcome.
 OUTCOME_FIELDS = (
     "total_capacity",
     "accesses",
@@ -316,7 +332,7 @@ OUTCOME_FIELDS = (
 class TestEngineEquivalence:
     """Every shared-cache cell runs on the fleet engine; it must
     reproduce the reference simulator exactly on the paper-scale
-    tables: the aggregates ``simulate_mix`` reports, every process's
+    tables: the aggregates ``replay_cell`` reports, every process's
     counters (hits by serving cache, evictions, promotions, dedup and
     generated bytes), and every cache's resident records, whose access
     counts and last-access times are the hits' global virtual time."""
@@ -325,23 +341,17 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("processes", [2, 4, 8])
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_cells_identical_across_engines(self, mix, processes, schedule):
+        cell = build_cell("shared", mix, processes, scale_multiplier=SCALE)
+        workloads = reference_workloads(mix, processes)
         for policy in POLICY_VARIANTS:
-            cell = simulate_mix(
-                mix,
-                processes,
-                policy,
-                scale_multiplier=SCALE,
-                schedule=schedule,
+            row = replay_cell(cell, policy, schedule=schedule)
+            reference, reference_group = replay_reference(
+                workloads, policy, schedule
             )
-            reference, reference_group = replay_cell(
-                "reference", mix, processes, policy, schedule
-            )
-            assert {key: cell[key] for key in OUTCOME_FIELDS} == {
+            assert {key: row[key] for key in OUTCOME_FIELDS} == {
                 key: getattr(reference, key) for key in OUTCOME_FIELDS
             }, policy
-            fleet, fleet_group = replay_cell(
-                "fleet", mix, processes, policy, schedule
-            )
+            fleet, fleet_group = replay_fleet(cell, policy, schedule)
             assert len(fleet.processes) == len(reference.processes)
             for got, want in zip(fleet.processes, reference.processes):
                 assert got == want, (policy, want.process)

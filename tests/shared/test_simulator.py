@@ -9,8 +9,10 @@ from repro.errors import ConfigError, LogFormatError
 from repro.shared.compose import (
     LIBRARY_TRACE_BASE,
     ProcessWorkload,
-    build_process_workloads,
-    compose_with_library,
+    build_library_catalog,
+    compose_specs,
+    compose_with_libraries,
+    prepare_library,
     workload_keys,
 )
 from repro.shared.manager import make_group
@@ -137,10 +139,17 @@ class TestDeterminism:
         assert once() == once()
 
 
+def composed(specs, **kwargs) -> list[ProcessWorkload]:
+    """The one mix builder's workload for each process of *specs*."""
+    assignment, distinct = compose_specs(specs, **kwargs)
+    distinct = list(distinct)
+    return [distinct[index] for index in assignment]
+
+
 class TestComposition:
     def test_library_overlay_shares_keys_across_apps(self):
-        workloads = build_process_workloads(
-            ["word", "gzip"], seed=42, scale_multiplier=0.5
+        workloads = composed(
+            [("word", 1), ("gzip", 1)], seed=42, scale_multiplier=0.5
         )
         word_lib = {
             key
@@ -167,16 +176,14 @@ class TestComposition:
         assert not word_app & gzip_app
 
     def test_same_benchmark_shares_the_composed_workload(self):
-        workloads = build_process_workloads(
-            ["word", "word"], seed=42, scale_multiplier=0.5
+        workloads = composed(
+            [("word", 1), ("word", 1)], seed=42, scale_multiplier=0.5
         )
         assert workloads[0] is workloads[1]
         assert workloads[0].keys == workloads[1].keys
 
     def test_composed_log_validates_and_covers_creates(self):
-        workloads = build_process_workloads(
-            ["word"], seed=42, scale_multiplier=0.5
-        )
+        workloads = composed([("word", 1)], seed=42, scale_multiplier=0.5)
         log = workloads[0].log
         log.validate()
         created = {r.trace_id for r in log.creates()}
@@ -186,9 +193,11 @@ class TestComposition:
     def test_library_unmaps_are_dropped(self):
         app = _tiny_log("app")
         lib = _tiny_log("lib")
-        composed = compose_with_library("app", app, lib)
+        workload = compose_with_libraries(
+            "app", app, [prepare_library("lib", lib)]
+        )
         unmapped = [
-            r for r in composed.log.records if isinstance(r, ModuleUnmap)
+            r for r in workload.log.records if isinstance(r, ModuleUnmap)
         ]
         # Only the app's own unmap survives the overlay.
         assert len(unmapped) == 1
@@ -196,8 +205,8 @@ class TestComposition:
 
     def test_empty_mix_rejected(self):
         with pytest.raises(ConfigError):
-            build_process_workloads([])
+            compose_specs([])
 
     def test_bad_library_scale_rejected(self):
         with pytest.raises(ConfigError, match="library scale"):
-            build_process_workloads(["word"], library_scale=0.0)
+            build_library_catalog(library_scale=0.0)

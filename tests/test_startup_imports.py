@@ -142,11 +142,16 @@ class TestModuleCounts:
         assert {
             "multiprocessing",
             "repro.cachesim",
+            "repro.core.generational",
+            "repro.core.unified",
             "repro.experiments",
+            "repro.policies",
             "repro.shared.manager",
             "repro.shared.simulator",
             "repro.shared.compose",
+            "repro.tracelog",
         }.isdisjoint(modules)
+        assert len(own(modules)) <= 13, own(modules)
 
     def test_serve_loads_job_modules_before_the_pool_forks(self, tmp_path):
         """``serve`` forks its workers after importing the cluster; a
@@ -183,7 +188,8 @@ class TestLazyRoot:
         assert set(repro.__all__) <= set(namespace)
 
     @pytest.mark.parametrize(
-        "package", ["repro", "repro.analysis", "repro.service", "repro.shared"]
+        "package",
+        ["repro", "repro.analysis", "repro.core", "repro.service", "repro.shared"],
     )
     def test_unknown_attribute_raises(self, package):
         module = importlib.import_module(package)
@@ -192,7 +198,7 @@ class TestLazyRoot:
         assert not hasattr(module, "no_such_name")
 
     @pytest.mark.parametrize(
-        "package", ["repro.analysis", "repro.service", "repro.shared"]
+        "package", ["repro.analysis", "repro.core", "repro.service", "repro.shared"]
     )
     def test_subpackage_exports_resolve(self, package):
         module = importlib.import_module(package)
