@@ -10,6 +10,7 @@ full-scale versions are available through the CLI
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -55,11 +56,17 @@ def run_once(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
-def process_workloads(specs, scale_multiplier: float) -> list:
+def process_workloads(
+    specs, scale_multiplier: float, *, decompiled: bool = False
+) -> list:
     """The one mix builder's workload for each process of *specs*
-    (seed 42), as the reference simulator and interleaver take them."""
+    (seed 42): packed, as the reference simulator takes them, or with
+    *decompiled* record-object logs (one per distinct workload), as the
+    reference interleaver takes them."""
     assignment, composed = compose_specs(
         specs, seed=42, scale_multiplier=scale_multiplier
     )
     distinct = list(composed)
+    if decompiled:
+        distinct = [replace(w, log=w.log.decompile()) for w in distinct]
     return [distinct[index] for index in assignment]

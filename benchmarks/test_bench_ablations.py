@@ -45,7 +45,7 @@ def test_bench_ablation_promotion_mode(benchmark, publish, dataset, capacity):
             title=f"Promotion policy ablation on {WORKLOAD}",
             columns=["Mode", "Threshold", "MissPct", "Promotions"],
         )
-        log = dataset.log(WORKLOAD)
+        log = dataset.compiled(WORKLOAD)
         for mode, threshold in (
             (PromotionMode.ON_HIT, 1),
             (PromotionMode.ON_HIT, 4),
@@ -78,7 +78,7 @@ def test_bench_ablation_local_policy(benchmark, publish, dataset, capacity):
             title=f"Local policy under the generational manager ({WORKLOAD})",
             columns=["Policy", "MissPct", "OverheadM"],
         )
-        log = dataset.log(WORKLOAD)
+        log = dataset.compiled(WORKLOAD)
         for policy in ("pseudo-circular", "lru", "preemptive-flush"):
             config = GenerationalConfig(local_policy=policy)
             sim = simulate_log(
@@ -105,7 +105,7 @@ def test_bench_ablation_hole_filling(benchmark, publish, dataset, capacity):
             title=f"Hole-filling pseudo-circular variant ({WORKLOAD})",
             columns=["FillHoles", "MissPct", "FinalFragmentation"],
         )
-        log = dataset.log(WORKLOAD)
+        log = dataset.compiled(WORKLOAD)
         for fill_holes in (False, True):
             manager = UnifiedCacheManager(capacity)
             manager.cache.fill_holes = fill_holes  # type: ignore[attr-defined]

@@ -99,9 +99,12 @@ def _replay_tier(dataset, name, tier, reps):
     times; returns ``(results, per_manager_seconds)`` — results from
     the last rep (they are deterministic), seconds the per-manager min
     across reps, in reference CPU seconds.  Logs are already
-    materialized so only replay is timed."""
+    materialized (the object tier's decompiled) so only replay is
+    timed."""
     capacity = baseline_capacity(dataset.stats(name).total_trace_bytes)
-    log = dataset.log(name) if tier == "object" else dataset.compiled(name)
+    log = dataset.compiled(name)
+    if tier == "object":
+        log = log.decompile()
     results = []
     seconds = []
     with CoreClock() as clock:

@@ -129,7 +129,7 @@ def test_bench_fleet_replay(benchmark):
         [(name, 1) for name in mix_benchmarks("heterogeneous", REPLAY_PROCESSES)],
         REPLAY_SCALE,
     )
-    records = sum(len(w.log.records) for w in workloads)
+    records = sum(len(w.log) for w in workloads)
 
     def simulator(engine: str, policy: str):
         group = make_group(
@@ -186,7 +186,8 @@ def test_bench_interleaver_speedup(benchmark):
     """
     processes = 256
     workloads = process_workloads(
-        fleet_specs("homogeneous", processes), FLEET_BENCH_SCALE
+        fleet_specs("homogeneous", processes), FLEET_BENCH_SCALE,
+        decompiled=True,
     )
     logs = [w.log for w in workloads]
     n_records = sum(len(log.records) for log in logs)

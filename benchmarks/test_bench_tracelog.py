@@ -19,14 +19,14 @@ from repro.tracelog.binary import (
     load_binary,
 )
 from repro.workloads.catalog import get_profile
-from repro.workloads.synthesis import synthesize_log
+from repro.workloads.synthesis import synthesize_compiled
 
 #: Scale divisor for the bench log (~140k records for "word").
 BENCH_SCALE = 64.0
 
 
 def _bench_log():
-    return synthesize_log(get_profile("word"), seed=7, scale=BENCH_SCALE)
+    return synthesize_compiled(get_profile("word"), seed=7, scale=BENCH_SCALE)
 
 
 def test_bench_binary_round_trip(benchmark, tmp_path):
@@ -41,7 +41,7 @@ def test_bench_binary_round_trip(benchmark, tmp_path):
             return load_binary(stream)
 
     parsed = run_once(benchmark, round_trip)
-    assert parsed.records == log.records
+    assert list(parsed.rows()) == list(log.rows())
     assert parsed.benchmark == log.benchmark
 
 

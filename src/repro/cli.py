@@ -292,11 +292,11 @@ def _cmd_record(args: argparse.Namespace) -> int:
     from repro.tracelog.writer import write_log
     from repro.units import format_bytes
     from repro.workloads.catalog import get_profile
-    from repro.workloads.synthesis import synthesize_log
+    from repro.workloads.synthesis import synthesize_compiled
 
     _validate_scale(args, allow_zero=True)
     profile = get_profile(args.benchmark)
-    log = synthesize_log(profile, seed=args.seed, scale=args.scale or None)
+    log = synthesize_compiled(profile, seed=args.seed, scale=args.scale or None)
     if args.binary:
         write_binary_log(log, args.output)
     else:

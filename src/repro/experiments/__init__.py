@@ -7,7 +7,6 @@ per-experiment index lives in DESIGN.md.
 """
 
 from repro.experiments.base import ExperimentResult, render_table
-from repro.experiments.charts import render_bar_chart
 from repro.experiments.dataset import WorkloadDataset
 from repro.experiments.evaluation import BenchmarkEvaluation, run_evaluation
 
@@ -15,7 +14,6 @@ __all__ = [
     "BenchmarkEvaluation",
     "ExperimentResult",
     "WorkloadDataset",
-    "render_bar_chart",
     "render_table",
     "run_evaluation",
 ]

@@ -6,23 +6,20 @@ configuration.  Logs are synthesized lazily and memoized per
 (benchmark, seed, scale).
 
 Logs are synthesized straight into packed columns and kept only in
-that form.  Both derived artifacts — the compiled log that replay and
-characterization consume and the summary statistics — are additionally
-memoized on disk through the content-addressed store in
-:mod:`repro.fastpath.artifacts`, so a warm process (or a warm machine)
-never re-synthesizes a log it has seen before.  The object
-representation is decompiled only on demand, for the experiments that
-walk record objects (headroom, reuse) and the object-path oracle;
-decompilation is lossless, keeping every path byte-identical.
+that form: every experiment, the headroom oracle and the reuse table
+included, reads the columns.  Both derived artifacts — the compiled
+log and the summary statistics — are additionally memoized on disk
+through the content-addressed store in :mod:`repro.fastpath.artifacts`,
+so a warm process (or a warm machine) never re-synthesizes a log it
+has seen before.
 """
 
 from __future__ import annotations
 
 from repro.fastpath import CompiledTraceLog
 from repro.fastpath.artifacts import cached_compiled, get_cache
-from repro.tracelog.records import TraceLog
 from repro.tracelog.stats import LogStatistics, summarize_log
-from repro.workloads.catalog import all_profiles, get_profile, profiles_for_suite
+from repro.workloads.catalog import get_profile, profiles_for_suite
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -48,7 +45,6 @@ class WorkloadDataset:
     ) -> None:
         self.seed = seed
         self.scale_multiplier = scale_multiplier
-        self._logs: dict[str, TraceLog] = {}
         self._compiled: dict[str, CompiledTraceLog] = {}
         self._stats: dict[str, LogStatistics] = {}
         if subset is not None:
@@ -86,13 +82,6 @@ class WorkloadDataset:
             )
         return self._compiled[name]
 
-    def log(self, name: str) -> TraceLog:
-        """The (memoized) object-form log for one benchmark, decompiled
-        from :meth:`compiled` on first use."""
-        if name not in self._logs:
-            self._logs[name] = self.compiled(name).decompile()
-        return self._logs[name]
-
     def stats(self, name: str) -> LogStatistics:
         """Memoized, artifact-backed summary statistics of one
         benchmark's log."""
@@ -119,24 +108,6 @@ class WorkloadDataset:
         )
 
 
-def default_dataset(**kwargs) -> WorkloadDataset:
-    """A dataset over the full 38-benchmark catalog."""
-    return WorkloadDataset(**kwargs)
-
-
-def spec_dataset(**kwargs) -> WorkloadDataset:
-    """SPEC2000 suite only."""
-    return WorkloadDataset(suites=("spec",), **kwargs)
-
-
-def interactive_dataset(**kwargs) -> WorkloadDataset:
-    """Interactive suite only."""
-    return WorkloadDataset(suites=("interactive",), **kwargs)
-
-
 def quick_subset() -> list[str]:
     """A representative 8-benchmark subset for fast harness runs."""
     return ["gzip", "crafty", "eon", "art", "mcf", "word", "iexplore", "solitaire"]
-
-
-_ = all_profiles  # re-exported for convenience in callers' imports

@@ -58,16 +58,13 @@ def run(
         ],
     )
     for name in dataset.names:
-        # The oracle needs the object log (it scans future accesses);
-        # the unified/generational replays take the compiled form.
-        log = dataset.log(name)
         compiled = dataset.compiled(name)
         capacity = baseline_capacity(dataset.stats(name).total_trace_bytes)
         unified = simulate_log(compiled, UnifiedCacheManager(capacity))
         generational = simulate_log(
             compiled, GenerationalCacheManager(capacity, config)
         )
-        oracle = simulate_log(compiled, oracle_manager(log, capacity))
+        oracle = simulate_log(compiled, oracle_manager(compiled, capacity))
         gap = unified.miss_rate - oracle.miss_rate
         closed = 0.0
         if gap > 0:

@@ -32,7 +32,7 @@ def run(
         columns=["Benchmark", "Suite", "Reaccesses", *BUCKET_LABELS, "OverHalfPct"],
     )
     for name in dataset.names:
-        profile = reuse_profile(dataset.log(name))
+        profile = reuse_profile(dataset.compiled(name))
         result.add_row(
             Benchmark=name,
             Suite=dataset.profile(name).suite,

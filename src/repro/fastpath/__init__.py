@@ -4,10 +4,10 @@ Four pieces, built to replay the same verbose trace log against many
 cache configurations at production scale:
 
 * :mod:`repro.fastpath.compiled` — the packed struct-of-arrays trace
-  log (:class:`CompiledTraceLog`), the only form the experiment path
-  builds (the synthesizer emits it through :func:`pack_columns`), with
-  the column validator and lossless conversion to and from record
-  objects;
+  log (:class:`CompiledTraceLog`), the only form production code
+  builds or decodes (the synthesizer, the text reader and composition
+  emit it through :func:`pack_columns`), with the column validator and
+  lossless conversion to and from record objects;
 * :mod:`repro.fastpath.replay` — the batched replay loop
   :func:`replay_compiled`, selected automatically by
   :class:`repro.cachesim.simulator.CacheSimulator` when the manager is

@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Callable
 
 from repro.fastpath.compiled import COLUMN_NAMES, CompiledTraceLog
-from repro.tracelog.records import TraceLog
 from repro.tracelog.stats import LogStatistics
 
 #: Bumped whenever the container layout changes.
@@ -324,9 +323,3 @@ def cached_compiled(profile, seed: int, scale: float) -> CompiledTraceLog:
         ARTIFACT_TOTALS["logs_synthesized"] += 1
         return synthesize()
     return store.compiled_log(profile, seed, scale, synthesize)
-
-
-def cached_log(profile, seed: int, scale: float) -> TraceLog:
-    """:func:`cached_compiled` decompiled to record objects — for
-    callers that edit records (shared-cache workload composition)."""
-    return cached_compiled(profile, seed, scale).decompile()

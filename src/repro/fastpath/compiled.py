@@ -24,13 +24,14 @@ repeat   ``q``      compressed consecutive-entry count (access
                     records, else 0)
 ======== ========== ==================================================
 
-Logs are born packed: the synthesizer renders its sorted rows straight
-into columns through :func:`pack_columns`, and the RTL2 decoder and the
-artifact store fill columns directly.  :func:`compile_log` packs an
-object log in one pass, and the conversion is **lossless** both ways:
-:meth:`CompiledTraceLog.decompile` reproduces a ``TraceLog`` whose
-records compare equal to the source, and the RTL2 binary serialization
-of both forms is byte-identical (see :mod:`repro.tracelog.binary`).
+Logs are born packed: the synthesizer, the text reader and
+shared-library composition hand whole columns to :func:`pack_columns`,
+and the RTL2 decoder and the artifact store fill columns directly.
+:func:`compile_log` packs a hand-built object log, and the conversion
+is **lossless** both ways: :meth:`CompiledTraceLog.decompile`
+reproduces a ``TraceLog`` whose records compare equal to the source
+(the object-path oracles' input), and both serializations write the
+same bytes for either form (see :mod:`repro.tracelog`).
 
 Everything that reads or writes the columns directly lives in this
 package (plus the sanctioned RTL2 codec); other layers use the public
@@ -45,27 +46,22 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.errors import LogFormatError, LogOrderError
 from repro.tracelog.records import (
+    OP_ACCESS,
+    OP_CREATE,
+    OP_END,
+    OP_PIN,
+    OP_UNMAP,
+    OP_UNPIN,
     EndOfLog,
     LogRecord,
     ModuleUnmap,
+    Row,
     TraceAccess,
     TraceCreate,
     TraceLog,
     TracePin,
     TraceUnpin,
 )
-
-#: Opcodes — deliberately identical to the RTL2 binary record tags so
-#: the compiled form serializes without a translation table.
-OP_CREATE = 1
-OP_ACCESS = 2
-OP_UNMAP = 3
-OP_PIN = 4
-OP_UNPIN = 5
-OP_END = 6
-
-#: One row of a compiled log: (op, time, trace_id, size, module, repeat).
-Row = tuple[int, int, int, int, int, int]
 
 #: The column attributes, in schema (and row) order.
 COLUMN_NAMES = ("op", "time", "trace_id", "size", "module", "repeat")
@@ -288,6 +284,25 @@ _REBUILD = {
 }
 
 
+def _record_row(record: LogRecord) -> Row:
+    kind = type(record)
+    if kind is TraceAccess:
+        return (OP_ACCESS, record.time, record.trace_id, 0, 0, record.repeat)
+    if kind is TraceCreate:
+        return (
+            OP_CREATE, record.time, record.trace_id, record.size,
+            record.module_id, 0,
+        )
+    if kind is ModuleUnmap:
+        return (OP_UNMAP, record.time, 0, 0, record.module_id, 0)
+    if kind is TracePin or kind is TraceUnpin:
+        op = OP_PIN if kind is TracePin else OP_UNPIN
+        return (op, record.time, record.trace_id, 0, 0, 0)
+    if kind is EndOfLog:
+        return (OP_END, record.time, 0, 0, 0, 0)
+    raise LogFormatError(f"cannot compile record type {kind.__name__}")
+
+
 def compile_log(log: TraceLog) -> CompiledTraceLog:
     """Pack *log* into the columnar representation (one pass).
 
@@ -295,57 +310,13 @@ def compile_log(log: TraceLog) -> CompiledTraceLog:
         LogFormatError: on a record type outside the closed LogRecord
             union.
     """
-    compiled = CompiledTraceLog(
-        benchmark=log.benchmark,
-        duration_seconds=log.duration_seconds,
-        code_footprint=log.code_footprint,
+    rows = [_record_row(record) for record in log.records]
+    return pack_columns(
+        log.benchmark,
+        log.duration_seconds,
+        log.code_footprint,
+        tuple(zip(*rows)) or ((),) * len(COLUMN_NAMES),
     )
-    op = compiled.op.append
-    time = compiled.time.append
-    trace_id = compiled.trace_id.append
-    size = compiled.size.append
-    module = compiled.module.append
-    repeat = compiled.repeat.append
-    # Column appends inline (no per-row call): object logs compile on
-    # every TraceLog.validate, so this pass sits on composition paths.
-    for record in log.records:
-        kind = type(record)
-        if kind is TraceAccess:
-            op(OP_ACCESS)
-            trace_id(record.trace_id)
-            size(0)
-            module(0)
-            repeat(record.repeat)
-        elif kind is TraceCreate:
-            op(OP_CREATE)
-            trace_id(record.trace_id)
-            size(record.size)
-            module(record.module_id)
-            repeat(0)
-        elif kind is ModuleUnmap:
-            op(OP_UNMAP)
-            trace_id(0)
-            size(0)
-            module(record.module_id)
-            repeat(0)
-        elif kind is TracePin or kind is TraceUnpin:
-            op(OP_PIN if kind is TracePin else OP_UNPIN)
-            trace_id(record.trace_id)
-            size(0)
-            module(0)
-            repeat(0)
-        elif kind is EndOfLog:
-            op(OP_END)
-            trace_id(0)
-            size(0)
-            module(0)
-            repeat(0)
-        else:
-            raise LogFormatError(
-                f"cannot compile record type {type(record).__name__}"
-            )
-        time(record.time)
-    return compiled
 
 
 def pack_columns(
@@ -359,8 +330,8 @@ def pack_columns(
     *columns* holds six equal-length integer sequences in schema order
     ``(op, time, trace_id, size, module, repeat)`` — the shape
     :func:`log_columns` returns.  This is how a producer outside this
-    package (the synthesizer) emits packed logs without touching the
-    column writers.
+    package (the synthesizer, the text reader, composition) emits
+    packed logs without touching the column writers.
 
     Raises:
         LogFormatError: when the columns are not six of equal length.

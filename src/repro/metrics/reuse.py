@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.tracelog.records import TraceAccess, TraceCreate, TraceLog
+from repro.fastpath import OP_ACCESS, OP_CREATE, CompiledTraceLog, log_columns
+from repro.tracelog.records import TraceLog
 
 #: Histogram bucket upper bounds, as fractions of the unbounded cache
 #: size (the final bucket is everything at or above 1.0).
@@ -30,27 +31,29 @@ BUCKET_LABELS: tuple[str, ...] = (
 )
 
 
-def reuse_distances(log: TraceLog) -> list[int]:
+def reuse_distances(log: TraceLog | CompiledTraceLog) -> list[int]:
     """Cold reuse distance of every re-access in *log*.
 
     For each access record after a trace's first touch, the distance is
     the total bytes of *creations* that appeared since the previous
     touch of that trace.  Repeat-compressed entries after the first
     contribute distance zero and are not reported (they are guaranteed
-    hits by construction of the log format).
+    hits by construction of the log format).  Reads the packed columns
+    (a :class:`TraceLog` is compiled first).
     """
+    op, _time, trace_id, size, _module, _repeat = log_columns(log)
     distances: list[int] = []
     created_bytes = 0
     last_seen: dict[int, int] = {}  # trace -> created_bytes at last touch
-    for record in log.records:
-        if isinstance(record, TraceCreate):
-            created_bytes += record.size
-            last_seen[record.trace_id] = created_bytes
-        elif isinstance(record, TraceAccess):
-            previous = last_seen.get(record.trace_id)
+    for code, tid, trace_size in zip(op, trace_id, size):
+        if code == OP_CREATE:
+            created_bytes += trace_size
+            last_seen[tid] = created_bytes
+        elif code == OP_ACCESS:
+            previous = last_seen.get(tid)
             if previous is not None:
                 distances.append(created_bytes - previous)
-            last_seen[record.trace_id] = created_bytes
+            last_seen[tid] = created_bytes
     return distances
 
 
@@ -75,7 +78,7 @@ class ReuseProfile:
     over_half: float
 
 
-def reuse_profile(log: TraceLog) -> ReuseProfile:
+def reuse_profile(log: TraceLog | CompiledTraceLog) -> ReuseProfile:
     """Bucket a log's reuse distances against its unbounded size."""
     distances = reuse_distances(log)
     total_bytes = max(1, log.total_trace_bytes)

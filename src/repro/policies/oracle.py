@@ -21,19 +21,22 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from repro.errors import CacheFullError, TraceTooLargeError
+from repro.fastpath import OP_ACCESS, CompiledTraceLog, log_columns
 from repro.policies.base import CachedTrace, CodeCache
-from repro.tracelog.records import TraceAccess, TraceLog
+from repro.tracelog.records import TraceLog
 
 #: Sentinel "never used again" distance.
 NEVER = float("inf")
 
 
-def access_schedule(log: TraceLog) -> dict[int, list[int]]:
-    """Extract each trace's sorted access times from a log."""
+def access_schedule(log: TraceLog | CompiledTraceLog) -> dict[int, list[int]]:
+    """Extract each trace's sorted access times from a log's packed
+    columns (a :class:`TraceLog` is compiled first)."""
+    op, time, trace_id, *_ = log_columns(log)
     schedule: dict[int, list[int]] = {}
-    for record in log.records:
-        if isinstance(record, TraceAccess):
-            schedule.setdefault(record.trace_id, []).append(record.time)
+    for code, when, tid in zip(op, time, trace_id):
+        if code == OP_ACCESS:
+            schedule.setdefault(tid, []).append(when)
     return schedule
 
 

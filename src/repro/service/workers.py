@@ -9,7 +9,9 @@ corrupt a queue another worker shares).
 
 Trace logs reach ``replay`` jobs either by path (text or RTL2 binary,
 sniffed by magic) or inline as base64 RTL2 bytes, so a server can
-simulate logs its clients recorded on other machines.
+simulate logs its clients recorded on other machines.  Either way the
+validating decoder fills packed columns, which the replay reads
+directly.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ from repro.analysis.sanitizer import (
 )
 from repro.cachesim.simulator import simulate_log
 from repro.cachesim.stats import SimulationResult
-from repro.fastpath import FASTPATH_TOTALS
+from repro.fastpath import FASTPATH_TOTALS, CompiledTraceLog
 from repro.core.generational import GenerationalCacheManager
 from repro.core.unified import UnifiedCacheManager
 from repro.errors import ConfigError, ReproError
 from repro.experiments.base import ExperimentResult
 from repro.service.jobs import JobSpec, job_id, spec_from_dict
-from repro.tracelog.binary import MAGIC, loads_binary
+from repro.tracelog.binary import MAGIC, loads_binary, read_binary_log
 from repro.tracelog.reader import read_log
-from repro.tracelog.records import TraceLog
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
@@ -85,7 +86,7 @@ def _build_manager(spec: JobSpec, capacity: int):
     return GenerationalCacheManager(capacity, spec.generational_config())
 
 
-def _load_replay_log(spec: JobSpec) -> TraceLog:
+def _load_replay_log(spec: JobSpec) -> CompiledTraceLog:
     if spec.log_inline is not None:
         try:
             raw = base64.b64decode(spec.log_inline, validate=True)
@@ -95,8 +96,6 @@ def _load_replay_log(spec: JobSpec) -> TraceLog:
     with open(spec.log_path, "rb") as stream:
         head = stream.read(len(MAGIC))
     if head == MAGIC:
-        from repro.tracelog.binary import read_binary_log
-
         return read_binary_log(spec.log_path)
     return read_log(spec.log_path)
 

@@ -21,6 +21,12 @@ the id remapping and the sha256 content keys are computed a single
 time, and every app the library links into reuses the prepared form —
 only the per-app time rescale runs per merge.
 
+Composition works on packed rows end to end: app and library logs come
+from the artifact store as :class:`repro.fastpath.CompiledTraceLog`,
+their rows are remapped, rescaled and merged one at a time into
+columns, and each composed workload is packed once through
+:func:`repro.fastpath.pack_columns`.  No record object is built.
+
 Libraries form a *catalog* ranked by popularity
 (:data:`LIBRARY_CATALOG`), and each process links the top-``reach``
 entries.  The paper-scale table links every process to the rank-0
@@ -43,22 +49,24 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import merge
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.errors import ConfigError
+from repro.fastpath import (
+    OP_CREATE,
+    OP_END,
+    OP_UNMAP,
+    CompiledTraceLog,
+    log_columns,
+    pack_columns,
+)
+from repro.fastpath.artifacts import cached_compiled
 from repro.rand import derive_seed, substream
 from repro.shared.identity import TraceKey
-from repro.tracelog.records import (
-    EndOfLog,
-    LogRecord,
-    ModuleUnmap,
-    TraceAccess,
-    TraceCreate,
-    TraceLog,
-    TracePin,
-    TraceUnpin,
-)
-from repro.fastpath.artifacts import cached_log
+from repro.tracelog.records import Row, TraceLog
 from repro.workloads.catalog import get_profile
 
 #: Namespace of shared-library trace keys (never collides with a
@@ -85,9 +93,8 @@ LIBRARY_CATALOG = ("gap", "mcf", "art", "eon")
 #: Zipf skew of the per-process library-reach draw.
 DEFAULT_ZIPF_SKEW = 1.1
 
-# Compact record kinds of a prepared library (ModuleUnmap/EndOfLog are
-# dropped at preparation time, so only four kinds survive).
-_CREATE, _ACCESS, _PIN, _UNPIN = range(4)
+#: A packed row's time field: the merge key of composition.
+_TIME = itemgetter(1)
 
 
 @dataclass
@@ -96,13 +103,13 @@ class ProcessWorkload:
 
     Attributes:
         name: Display name (benchmark, plus ``+shlib`` when composed).
-        log: The process's trace log.
-        keys: Content key per created trace id (covering every
-            ``TraceCreate`` in :attr:`log`).
+        log: The process's packed trace log.
+        keys: Content key per created trace id (covering every create
+            record in :attr:`log`).
     """
 
     name: str
-    log: TraceLog
+    log: CompiledTraceLog
     keys: dict[int, TraceKey] = field(default_factory=dict)
 
 
@@ -122,8 +129,8 @@ class PreparedLibrary:
         end_time: The library log's own end time (rescale denominator).
         code_footprint: The library log's code footprint.
         keys: Content key per *remapped* trace id.
-        records: ``(time, kind, trace_id, size, module_id, repeat)``
-            tuples in log order, ids remapped, times unscaled.
+        rows: Packed ``(op, time, trace_id, size, module, repeat)``
+            rows in log order, ids remapped, times unscaled.
     """
 
     name: str
@@ -131,16 +138,18 @@ class PreparedLibrary:
     end_time: int
     code_footprint: int
     keys: dict[int, TraceKey]
-    records: tuple[tuple[int, int, int, int, int, int], ...]
+    rows: tuple[Row, ...]
 
 
-def workload_keys(namespace: str, log: TraceLog) -> dict[int, TraceKey]:
+def workload_keys(
+    namespace: str, log: TraceLog | CompiledTraceLog
+) -> dict[int, TraceKey]:
     """Content keys of every trace a synthesized log creates."""
+    op, _time, trace_id, size, module, _repeat = log_columns(log)
     return {
-        record.trace_id: TraceKey.from_workload(
-            namespace, record.trace_id, record.size, record.module_id
-        )
-        for record in log.creates()
+        tid: TraceKey.from_workload(namespace, tid, trace_size, module_id)
+        for code, tid, trace_size, module_id in zip(op, trace_id, size, module)
+        if code == OP_CREATE
     }
 
 
@@ -152,7 +161,7 @@ def library_namespace(name: str, rank: int) -> str:
 
 
 def prepare_library(
-    name: str, library_log: TraceLog, rank: int = 0
+    name: str, library_log: TraceLog | CompiledTraceLog, rank: int = 0
 ) -> PreparedLibrary:
     """Pre-remap *library_log* into overlay form (once per library).
 
@@ -165,126 +174,80 @@ def prepare_library(
     trace_base = LIBRARY_TRACE_BASE * (rank + 1)
     module_base = LIBRARY_MODULE_BASE * (rank + 1)
     keys: dict[int, TraceKey] = {}
-    records: list[tuple[int, int, int, int, int, int]] = []
-    for record in library_log.records:
-        if isinstance(record, (ModuleUnmap, EndOfLog)):
+    rows: list[Row] = []
+    for op, time, trace_id, size, module, repeat in zip(*log_columns(library_log)):
+        if op == OP_UNMAP or op == OP_END:
             continue
-        if isinstance(record, TraceCreate):
-            new_id = record.trace_id + trace_base
-            keys[new_id] = TraceKey.from_workload(
-                namespace, record.trace_id, record.size, record.module_id
+        if op == OP_CREATE:
+            keys[trace_id + trace_base] = TraceKey.from_workload(
+                namespace, trace_id, size, module
             )
-            records.append(
-                (
-                    record.time,
-                    _CREATE,
-                    new_id,
-                    record.size,
-                    record.module_id + module_base,
-                    0,
-                )
-            )
-        elif isinstance(record, TraceAccess):
-            records.append(
-                (
-                    record.time,
-                    _ACCESS,
-                    record.trace_id + trace_base,
-                    0,
-                    0,
-                    record.repeat,
-                )
-            )
-        elif isinstance(record, TracePin):
-            records.append(
-                (record.time, _PIN, record.trace_id + trace_base, 0, 0, 0)
-            )
-        elif isinstance(record, TraceUnpin):
-            records.append(
-                (record.time, _UNPIN, record.trace_id + trace_base, 0, 0, 0)
-            )
+            module += module_base
+        rows.append((op, time, trace_id + trace_base, size, module, repeat))
     return PreparedLibrary(
         name=name,
         rank=rank,
         end_time=max(1, library_log.end_time),
         code_footprint=library_log.code_footprint,
         keys=keys,
-        records=tuple(records),
+        rows=tuple(rows),
     )
 
 
-def _rescaled_records(
-    library: PreparedLibrary, app_end: int
-) -> list[LogRecord]:
-    """The library's record objects on the app's virtual-time axis."""
+def _rescaled_rows(library: PreparedLibrary, app_end: int) -> Iterator[Row]:
+    """The library's rows on the app's virtual-time axis, one at a time."""
     lib_end = library.end_time
-    out: list[LogRecord] = []
-    for time, kind, trace_id, size, module_id, repeat in library.records:
-        scaled = time * app_end // lib_end
-        if kind == _ACCESS:
-            out.append(
-                TraceAccess(time=scaled, trace_id=trace_id, repeat=repeat)
-            )
-        elif kind == _CREATE:
-            out.append(
-                TraceCreate(
-                    time=scaled, trace_id=trace_id, size=size, module_id=module_id
-                )
-            )
-        elif kind == _PIN:
-            out.append(TracePin(time=scaled, trace_id=trace_id))
-        else:
-            out.append(TraceUnpin(time=scaled, trace_id=trace_id))
-    return out
+    return (
+        (op, time * app_end // lib_end, trace_id, size, module, repeat)
+        for op, time, trace_id, size, module, repeat in library.rows
+    )
 
 
 def compose_with_libraries(
     app_name: str,
-    app_log: TraceLog,
+    app_log: TraceLog | CompiledTraceLog,
     libraries: Sequence[PreparedLibrary],
 ) -> ProcessWorkload:
     """Link prepared shared libraries into one process's log.
 
     Library record times are rescaled onto the app's virtual-time axis
     (so library reuse spreads across the whole run); the remapped ids
-    and hashed keys come straight from the prepared form.  Libraries
-    merge in rank order, and the already-merged stream wins time ties
-    — for a single library this reproduces, byte for byte, the
-    app-wins-ties merge the 2/4/8-process tables were built on.
+    and hashed keys come straight from the prepared form.  The streams
+    merge by time, and on a tie the app wins, then libraries in rank
+    order — for a single library this reproduces, byte for byte, the
+    app-wins-ties merge the 2/4/8-process tables were built on.  Merged
+    rows go straight into columns, which are packed once, so only the
+    merge's current rows are ever alive as tuples.
     """
     app_end = max(1, app_log.end_time)
     keys = workload_keys(app_name, app_log)
-    merged_records = [r for r in app_log.records if not isinstance(r, EndOfLog)]
     footprint = app_log.code_footprint
+    streams = [
+        (row for row in zip(*log_columns(app_log)) if row[0] != OP_END)
+    ]
     for library in libraries:
         keys.update(library.keys)
         footprint += library.code_footprint
-        lib_records = _rescaled_records(library, app_end)
-        previous = merged_records
-        merged_records = []
-        a = b = 0
-        while a < len(previous) or b < len(lib_records):
-            # Two-pointer merge; the earlier-ranked stream wins time
-            # ties so per-stream order and the merge result are both
-            # deterministic.
-            if b >= len(lib_records) or (
-                a < len(previous) and previous[a].time <= lib_records[b].time
-            ):
-                merged_records.append(previous[a])
-                a += 1
-            else:
-                merged_records.append(lib_records[b])
-                b += 1
-    suffix = "+shlib" if len(libraries) == 1 else f"+shlib{len(libraries)}"
-    merged = TraceLog(
-        benchmark=f"{app_name}{suffix}" if libraries else app_name,
-        duration_seconds=app_log.duration_seconds,
-        code_footprint=footprint,
+        streams.append(_rescaled_rows(library, app_end))
+    columns = ([], [], [], [], [], [])
+    add_op, add_time, add_trace, add_size, add_module, add_repeat = (
+        column.append for column in columns
     )
-    merged.records = merged_records
-    merged.append(EndOfLog(time=app_end))
-    merged.validate()
-    return ProcessWorkload(name=merged.benchmark, log=merged, keys=keys)
+    end = (OP_END, app_end, 0, 0, 0, 0)
+    for op, time, trace_id, size, module, repeat in chain(
+        merge(*streams, key=_TIME), (end,)
+    ):
+        add_op(op)
+        add_time(time)
+        add_trace(trace_id)
+        add_size(size)
+        add_module(module)
+        add_repeat(repeat)
+    suffix = "+shlib" if len(libraries) == 1 else f"+shlib{len(libraries)}"
+    name = f"{app_name}{suffix}" if libraries else app_name
+    log = pack_columns(name, app_log.duration_seconds, footprint, columns)
+    log.validate()
+    return ProcessWorkload(name=name, log=log, keys=keys)
 
 
 def zipf_reaches(
@@ -356,7 +319,7 @@ def build_library_catalog(
             if rank == 0
             else derive_seed(seed, f"shared.library.{name}")
         )
-        log = cached_log(
+        log = cached_compiled(
             profile,
             seed=lib_seed,
             scale=profile.default_scale * scale_multiplier * library_scale,
@@ -406,11 +369,11 @@ def _compose_distinct(
         scale_multiplier=scale_multiplier,
         reach=max(reach for _, reach in specs),
     )
-    app_logs: dict[str, TraceLog] = {}
+    app_logs: dict[str, CompiledTraceLog] = {}
     for benchmark, reach in specs:
         if benchmark not in app_logs:
             profile = get_profile(benchmark)
-            app_logs[benchmark] = cached_log(
+            app_logs[benchmark] = cached_compiled(
                 profile,
                 seed=seed,
                 scale=profile.default_scale * scale_multiplier,

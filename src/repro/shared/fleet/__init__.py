@@ -9,10 +9,9 @@ from three scaling ideas:
 * **streaming scheduler** (:func:`stream_segments`): O(1)-amortized
   turns over stream *shapes*, yielding index-range
   :class:`Segment`\\ s instead of per-record objects, with
-  spawn/exit churn (:class:`ProcessStream`, :func:`churn_plan`) and
-  optional weighted draws;
+  spawn/exit churn (:class:`ProcessStream`, :func:`churn_plan`);
 * **lazy workloads** (:class:`FleetWorkloads`): each distinct
-  (benchmark, library-reach) content is synthesized and compiled
+  (benchmark, library-reach) content is synthesized and packed
   once; processes are assignments plus cursors, so memory scales with
   *distinct* workloads, not the process count;
 * **packed replay** (:class:`FleetSimulator`): the reference

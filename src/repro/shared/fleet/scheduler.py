@@ -24,12 +24,8 @@ many records — the remainder of its stream is never replayed).  Both
 are deterministic inputs, so churned schedules stay pure functions of
 ``(streams, schedule, seed, quantum)``.
 
-For the random schedule an optional per-process weight vector skews
-the draw (bursty foreground apps vs idle daemons).  Weighted draws go
-through a Fenwick tree over the weights — O(log P) per turn, with
-admission and exit as point updates — and consume one ``rng.random()``
-per turn; the unweighted draw keeps the reference implementation's
-``rng.randrange`` consumption so P ≤ 8 schedules match it exactly.
+The random draw keeps the reference implementation's ``rng.randrange``
+consumption, so P ≤ 8 schedules match it exactly.
 
 This module is fleet-internal (``fleet-api`` lint rule): other layers
 import the package root.
@@ -79,72 +75,30 @@ class Segment:
     stop: int
 
 
-class _FenwickSampler:
-    """Weighted index sampling with point updates (Fenwick tree).
-
-    ``draw(u)`` maps a uniform ``u`` in ``[0, 1)`` to the process whose
-    cumulative-weight interval contains ``u * total`` — O(log P), as is
-    zeroing a weight when a process exits or adding one at spawn.
-    """
-
-    def __init__(self, size: int) -> None:
-        self._size = size
-        self._tree = [0.0] * (size + 1)
-        self._top = 1
-        while self._top * 2 <= size:
-            self._top *= 2
-        self.total = 0.0
-
-    def add(self, index: int, delta: float) -> None:
-        """Add *delta* to the weight at *index*."""
-        self.total += delta
-        i = index + 1
-        while i <= self._size:
-            self._tree[i] += delta
-            i += i & -i
-
-    def draw(self, u: float) -> int:
-        """The index owning cumulative mass ``u * total``."""
-        target = u * self.total
-        index = 0
-        mask = self._top
-        while mask:
-            nxt = index + mask
-            if nxt <= self._size and self._tree[nxt] <= target:
-                target -= self._tree[nxt]
-                index = nxt
-            mask //= 2
-        return min(index, self._size - 1)
-
-
 def stream_segments(
     streams: Sequence[ProcessStream],
     schedule: str = "round-robin",
     seed: int = 0,
     quantum: int = DEFAULT_QUANTUM,
-    weights: Sequence[float] | None = None,
 ) -> Iterator[Segment]:
     """Schedule N process streams into one deterministic segment stream.
 
     Every record index below each stream's effective length appears in
     exactly one yielded segment, in cursor order; only the interleaving
     varies with *schedule*.  With ``spawn_turn``/``limit`` left at
-    their defaults and *weights* omitted, expanding the segments
-    record-by-record reproduces the reference interleaver's schedule
-    exactly (same alive-list indexing, same substream, same per-turn
-    rng consumption).
+    their defaults, expanding the segments record-by-record reproduces
+    the reference interleaver's schedule exactly (same alive-list
+    indexing, same substream, same per-turn rng consumption).
 
     Args:
         streams: One stream shape per process (index = process id).
         schedule: One of :data:`repro.sim.interleave.SCHEDULES`.
         seed: Substream seed for the ``random`` schedule.
         quantum: Records consumed per turn before rescheduling.
-        weights: Optional per-process draw weights for the ``random``
-            schedule (uniform draw when omitted).
 
     Raises:
         ConfigError: for an unknown schedule, no streams, a bad
-            quantum, malformed churn fields, or malformed weights.
+            quantum, or malformed churn fields.
     """
     if schedule not in SCHEDULES:
         raise ConfigError(
@@ -167,26 +121,14 @@ def stream_segments(
             raise ConfigError(
                 f"process {index} has negative limit {stream.limit}"
             )
-    if weights is not None:
-        if schedule != "random":
-            raise ConfigError("weights only apply to the random schedule")
-        if len(weights) != len(streams):
-            raise ConfigError(
-                f"{len(weights)} weights for {len(streams)} streams"
-            )
-        for index, weight in enumerate(weights):
-            if weight <= 0:
-                raise ConfigError(
-                    f"process {index} has non-positive weight {weight:g}"
-                )
 
     cursor = [0] * len(streams)
     remaining = [stream.effective_length for stream in streams]
     rng = substream(seed, "sim.interleave") if schedule == "random" else None
 
     # Deferred arrivals, most imminent last (so admission pops); the
-    # alive list (or, weighted, the Fenwick tree) is maintained
-    # incrementally from here on — no per-turn rescan.
+    # alive list is maintained incrementally from here on — no per-turn
+    # rescan.
     pending = sorted(
         (
             index
@@ -196,49 +138,27 @@ def stream_segments(
         key=lambda index: (streams[index].spawn_turn, index),
         reverse=True,
     )
-    starters = [
+    alive = [
         index
         for index, stream in enumerate(streams)
         if stream.spawn_turn == 0 and remaining[index] > 0
     ]
-    sampler: _FenwickSampler | None = None
-    alive: list[int] = []
-    n_alive = 0
-    if weights is not None:
-        sampler = _FenwickSampler(len(streams))
-        for index in starters:
-            sampler.add(index, weights[index])
-        n_alive = len(starters)
-    else:
-        alive = starters
-        n_alive = len(alive)
 
     turns = 0  # total scheduling turns elapsed (the churn clock)
     rr_turn = 0  # the reference implementation's round-robin counter
-    while n_alive or pending:
-        if not n_alive:
+    while alive or pending:
+        if not alive:
             # Everyone alive drained before the next arrival: fast-
             # forward the churn clock to it.
             turns = max(turns, streams[pending[-1]].spawn_turn)
         while pending and streams[pending[-1]].spawn_turn <= turns:
-            index = pending.pop()
-            if sampler is not None:
-                sampler.add(index, weights[index])
-            else:
-                alive.append(index)
-            n_alive += 1
-        slot = -1
-        if sampler is not None:
-            process = sampler.draw(rng.random())
-            while not remaining[process]:  # float-residue guard
-                process = (process + 1) % len(streams)
-        elif rng is not None:
-            slot = rng.randrange(n_alive)
-            process = alive[slot]
+            alive.append(pending.pop())
+        if rng is not None:
+            slot = rng.randrange(len(alive))
         else:
-            slot = rr_turn % n_alive
+            slot = rr_turn % len(alive)
             rr_turn += 1
-            process = alive[slot]
+        process = alive[slot]
         turns += 1
         take = min(quantum, remaining[process])
         start = cursor[process]
@@ -246,8 +166,4 @@ def stream_segments(
         remaining[process] -= take
         yield Segment(process=process, start=start, stop=start + take)
         if not remaining[process]:
-            n_alive -= 1
-            if sampler is not None:
-                sampler.add(process, -weights[process])
-            else:
-                del alive[slot]
+            del alive[slot]

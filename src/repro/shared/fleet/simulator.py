@@ -84,7 +84,6 @@ class FleetSimulator:
         seed: int = 0,
         quantum: int = DEFAULT_QUANTUM,
         streams: Sequence[ProcessStream] | None = None,
-        weights: Sequence[float] | None = None,
     ) -> None:
         """
         Args:
@@ -95,8 +94,6 @@ class FleetSimulator:
             quantum: Records per scheduling turn.
             streams: Optional churned stream shapes (defaults to every
                 process replaying its full log from turn 0).
-            weights: Optional per-process draw weights (random
-                schedule only).
         """
         n = workloads.n_processes
         if n != group.n_processes:
@@ -126,7 +123,6 @@ class FleetSimulator:
         self.seed = seed
         self.quantum = quantum
         self.streams = list(streams)
-        self.weights = weights
         self.interner = TraceInterner()
         # Created-trace tables per *distinct* workload: trace id ->
         # (gid, size, module_id).
@@ -181,7 +177,6 @@ class FleetSimulator:
             schedule=self.schedule,
             seed=self.seed,
             quantum=self.quantum,
-            weights=self.weights,
         ):
             process = segment.process
             start, stop = segment.start, segment.stop

@@ -4,9 +4,10 @@ A fleet holds the *distinct* workload contents of a process mix, not
 one log per process:
 
 * each distinct ``(benchmark, library reach)`` pair is synthesized
-  once (through the artifact cache), composed once by
-  :func:`repro.shared.compose.compose_specs`, and packed once into one
-  record-major log (:class:`DistinctWorkload`);
+  once (through the artifact cache), composed and packed once by
+  :func:`repro.shared.compose.compose_specs`, and its columns are
+  interleaved once into one record-major array
+  (:class:`DistinctWorkload`);
 * every process is an *assignment* to a distinct workload — its replay
   state is just a cursor over the shared records, so fleet memory is
   O(distinct workloads) + O(P) integers, not O(P) logs.
@@ -89,8 +90,8 @@ class DistinctWorkload:
 
 
 def _distill(workload: ProcessWorkload) -> DistinctWorkload:
-    """Compile one workload's log into one record-major array and
-    index its create structure.
+    """Interleave one workload's packed columns into one record-major
+    array and index its create structure.
 
     Raises:
         LogOrderError: when the log's time ever decreases (the fleet

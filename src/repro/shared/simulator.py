@@ -6,7 +6,10 @@ per-process trace logs, interleaved by a deterministic schedule
 (:mod:`repro.sim.interleave`), against one
 :class:`~repro.shared.manager.SharedCacheGroup`, and owns the
 :class:`~repro.shared.identity.TraceInterner` that gives structurally
-identical traces from different processes one global identity.
+identical traces from different processes one global identity.  It is
+the record-object oracle of the fleet engine
+(:mod:`repro.shared.fleet`): it decompiles each process's packed log
+itself, once, before the replay.
 
 Accounting follows the single-process simulator's conventions —
 creations are compulsory (not misses), a conflict miss regenerates and
@@ -124,6 +127,8 @@ class MultiProcessSimulator:
             )
         self.group = group
         self.workloads = workloads
+        # The reference interleaver walks record objects.
+        self._logs = [w.log.decompile() for w in workloads]
         self.schedule = schedule
         self.seed = seed
         self.quantum = quantum
@@ -143,7 +148,7 @@ class MultiProcessSimulator:
     def run(self) -> SharedSimulationResult:
         """Replay every workload to completion and check invariants."""
         stream = interleave_logs(
-            [w.log for w in self.workloads],
+            self._logs,
             schedule=self.schedule,
             seed=self.seed,
             quantum=self.quantum,

@@ -3,8 +3,13 @@
 The paper drives every cache configuration from one recorded DynamoRIO
 run: "the verbose logs generated during execution were reused for all
 of our simulations" (Section 3).  This subpackage is our equivalent log
-substrate: typed records, a text serialization, a validating reader,
-and summary statistics.
+substrate: typed records, a text and a binary (RTL2) serialization, and
+summary statistics.
+
+Both codecs work on packed rows: the writers encode a
+:class:`repro.fastpath.CompiledTraceLog` (an object log is compiled
+first), and the validating readers return one.  Record objects are for
+logs built by hand and for the object-path oracles.
 """
 
 from repro.tracelog.records import (

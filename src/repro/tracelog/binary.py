@@ -20,6 +20,11 @@ so deltas are small).  Layout::
        tag 5 unpin:   varint trace_id
        tag 6 end:     (no payload)
 
+The tags are the packed opcodes, so one encoder writes straight from a
+:class:`repro.fastpath.CompiledTraceLog`'s rows (an object log is
+compiled first) and one decoder fills packed columns: no record object
+is built either way.
+
 File I/O is *chunk-buffered*: :func:`dump_binary` flushes the encode
 buffer to the stream every ~64 KiB instead of materializing the whole
 log (or issuing one tiny write per record), and :func:`load_binary`
@@ -32,19 +37,22 @@ from __future__ import annotations
 import io
 import struct
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import LogFormatError
 from repro.tracelog.records import (
-    EndOfLog,
-    LogRecord,
-    ModuleUnmap,
-    TraceAccess,
-    TraceCreate,
+    OP_ACCESS,
+    OP_CREATE,
+    OP_END,
+    OP_PIN,
+    OP_UNMAP,
+    OP_UNPIN,
     TraceLog,
-    TracePin,
-    TraceUnpin,
 )
 from repro.units import KB
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fastpath import CompiledTraceLog
 
 MAGIC = b"RTL2"
 
@@ -52,13 +60,6 @@ MAGIC = b"RTL2"
 #: stream-write syscalls, small enough to keep peak memory flat even
 #: for the interactive-application logs.
 CHUNK_BYTES = 64 * KB
-
-_TAG_CREATE = 1
-_TAG_ACCESS = 2
-_TAG_UNMAP = 3
-_TAG_PIN = 4
-_TAG_UNPIN = 5
-_TAG_END = 6
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -79,98 +80,31 @@ def _write_varint(out: bytearray, value: int) -> None:
 # ----------------------------------------------------------------------
 
 
-def _encode_header(
-    benchmark: str, duration_seconds: float, code_footprint: int, n_records: int
-) -> bytearray:
-    out = bytearray()
-    out += MAGIC
-    name = benchmark.encode("utf-8")
-    _write_varint(out, len(name))
-    out += name
-    out += struct.pack("<d", duration_seconds)
-    _write_varint(out, code_footprint)
-    _write_varint(out, n_records)
-    return out
-
-
-def _encode_record(out: bytearray, record: LogRecord, delta: int) -> None:
-    if isinstance(record, TraceCreate):
-        _write_varint(out, _TAG_CREATE)
-        _write_varint(out, delta)
-        _write_varint(out, record.trace_id)
-        _write_varint(out, record.size)
-        _write_varint(out, record.module_id)
-    elif isinstance(record, TraceAccess):
-        _write_varint(out, _TAG_ACCESS)
-        _write_varint(out, delta)
-        _write_varint(out, record.trace_id)
-        _write_varint(out, record.repeat)
-    elif isinstance(record, ModuleUnmap):
-        _write_varint(out, _TAG_UNMAP)
-        _write_varint(out, delta)
-        _write_varint(out, record.module_id)
-    elif isinstance(record, TracePin):
-        _write_varint(out, _TAG_PIN)
-        _write_varint(out, delta)
-        _write_varint(out, record.trace_id)
-    elif isinstance(record, TraceUnpin):
-        _write_varint(out, _TAG_UNPIN)
-        _write_varint(out, delta)
-        _write_varint(out, record.trace_id)
-    elif isinstance(record, EndOfLog):
-        _write_varint(out, _TAG_END)
-        _write_varint(out, delta)
-    else:
-        raise LogFormatError(f"unknown record type: {type(record).__name__}")
-
-
-def dump_binary(log, stream, chunk_size: int = CHUNK_BYTES) -> int:
+def dump_binary(
+    log: TraceLog | CompiledTraceLog, stream, chunk_size: int = CHUNK_BYTES
+) -> int:
     """Stream *log* to a writable binary *stream* in buffered chunks.
 
-    Accepts a :class:`TraceLog` or a compiled log
-    (:class:`repro.fastpath.CompiledTraceLog`) — the compiled form is
-    serialized straight from its packed columns, without decompiling,
-    and the byte stream is identical either way (the compiled opcodes
-    are the binary tags).
+    The packed rows are encoded directly; a :class:`TraceLog` is
+    compiled first, so both forms of one log write the same bytes.
 
     Returns the number of bytes written.  The output is byte-identical
     to :func:`dumps_binary`.
     """
+    # Imported lazily: repro.fastpath packs this package's record types,
+    # so a module-level import would cycle.
+    from repro.fastpath import ensure_compiled
+
     if chunk_size < 1:
         raise LogFormatError(f"chunk_size must be >= 1, got {chunk_size}")
-    if not isinstance(log, TraceLog):
-        return _dump_compiled(log, stream, chunk_size)
-    out = _encode_header(
-        log.benchmark, log.duration_seconds, log.code_footprint, len(log.records)
-    )
-    written = 0
-    previous_time = 0
-    for record in log.records:
-        delta = record.time - previous_time
-        if delta < 0:
-            raise LogFormatError("binary format requires time-sorted records")
-        previous_time = record.time
-        _encode_record(out, record, delta)
-        if len(out) >= chunk_size:
-            stream.write(out)
-            written += len(out)
-            out = bytearray()
-    if out:
-        stream.write(out)
-        written += len(out)
-    return written
-
-
-def _dump_compiled(compiled, stream, chunk_size: int) -> int:
-    """Serialize a compiled log column-by-column.  Same byte stream as
-    encoding the equivalent record objects: tag == opcode, and the
-    payload fields come straight off the packed rows."""
-    out = _encode_header(
-        compiled.benchmark,
-        compiled.duration_seconds,
-        compiled.code_footprint,
-        len(compiled),
-    )
+    compiled = ensure_compiled(log)
+    out = bytearray(MAGIC)
+    name = compiled.benchmark.encode("utf-8")
+    _write_varint(out, len(name))
+    out += name
+    out += struct.pack("<d", compiled.duration_seconds)
+    _write_varint(out, compiled.code_footprint)
+    _write_varint(out, len(compiled))
     written = 0
     previous_time = 0
     write = _write_varint
@@ -181,18 +115,18 @@ def _dump_compiled(compiled, stream, chunk_size: int) -> int:
         previous_time = time
         write(out, op)
         write(out, delta)
-        if op == _TAG_ACCESS:
+        if op == OP_ACCESS:
             write(out, trace_id)
             write(out, repeat)
-        elif op == _TAG_CREATE:
+        elif op == OP_CREATE:
             write(out, trace_id)
             write(out, size)
             write(out, module_id)
-        elif op == _TAG_UNMAP:
+        elif op == OP_UNMAP:
             write(out, module_id)
-        elif op == _TAG_PIN or op == _TAG_UNPIN:
+        elif op == OP_PIN or op == OP_UNPIN:
             write(out, trace_id)
-        elif op != _TAG_END:
+        elif op != OP_END:
             raise LogFormatError(f"unknown compiled opcode {op}")
         if len(out) >= chunk_size:
             stream.write(out)
@@ -204,7 +138,7 @@ def _dump_compiled(compiled, stream, chunk_size: int) -> int:
     return written
 
 
-def dumps_binary(log) -> bytes:
+def dumps_binary(log: TraceLog | CompiledTraceLog) -> bytes:
     """Serialize a :class:`TraceLog` or compiled log to compact bytes."""
     buffer = io.BytesIO()
     dump_binary(log, buffer)
@@ -311,57 +245,14 @@ class _StreamReader:
                 raise LogFormatError("varint too long in binary log")
 
 
-def _parse(reader, validate: bool) -> TraceLog:
-    if reader.bytes(4) != MAGIC:
-        raise LogFormatError("bad binary-log magic")
-    name = reader.bytes(reader.varint()).decode("utf-8")
-    (duration,) = struct.unpack("<d", reader.bytes(8))
-    footprint = reader.varint()
-    n_records = reader.varint()
-    log = TraceLog(
-        benchmark=name, duration_seconds=duration, code_footprint=footprint
-    )
-    records: list[LogRecord] = []
-    time = 0
-    for _ in range(n_records):
-        tag = reader.varint()
-        time += reader.varint()
-        if tag == _TAG_CREATE:
-            records.append(
-                TraceCreate(
-                    time=time,
-                    trace_id=reader.varint(),
-                    size=reader.varint(),
-                    module_id=reader.varint(),
-                )
-            )
-        elif tag == _TAG_ACCESS:
-            records.append(
-                TraceAccess(
-                    time=time, trace_id=reader.varint(), repeat=reader.varint()
-                )
-            )
-        elif tag == _TAG_UNMAP:
-            records.append(ModuleUnmap(time=time, module_id=reader.varint()))
-        elif tag == _TAG_PIN:
-            records.append(TracePin(time=time, trace_id=reader.varint()))
-        elif tag == _TAG_UNPIN:
-            records.append(TraceUnpin(time=time, trace_id=reader.varint()))
-        elif tag == _TAG_END:
-            records.append(EndOfLog(time=time))
-        else:
-            raise LogFormatError(f"unknown binary record tag {tag}")
-    log.records = records
-    if validate:
-        log.validate()
-    return log
+def _parse(reader, validate: bool) -> CompiledTraceLog:
+    """Decode straight into packed columns: each record is six column
+    appends, with times un-delta'd on the fly.
 
-
-def _parse_compiled(reader):
-    """Decode straight into packed columns — no record objects at all.
-
-    The compiled opcodes are the binary tags, so each record is six
-    column appends; times are un-delta'd on the fly.
+    Raises:
+        LogFormatError: on bad magic, truncation or an unknown tag.
+        LogOrderError: if *validate* and the log is structurally
+            invalid (see :meth:`repro.fastpath.CompiledTraceLog.validate`).
     """
     from repro.fastpath.compiled import CompiledTraceLog
 
@@ -385,15 +276,15 @@ def _parse_compiled(reader):
     for _ in range(n_records):
         tag = varint()
         time += varint()
-        if tag == _TAG_ACCESS:
+        if tag == OP_ACCESS:
             trace_id, size, module_id, repeat = varint(), 0, 0, varint()
-        elif tag == _TAG_CREATE:
+        elif tag == OP_CREATE:
             trace_id, size, module_id, repeat = varint(), varint(), varint(), 0
-        elif tag == _TAG_UNMAP:
+        elif tag == OP_UNMAP:
             trace_id, size, module_id, repeat = 0, 0, varint(), 0
-        elif tag == _TAG_PIN or tag == _TAG_UNPIN:
+        elif tag == OP_PIN or tag == OP_UNPIN:
             trace_id, size, module_id, repeat = varint(), 0, 0, 0
-        elif tag == _TAG_END:
+        elif tag == OP_END:
             trace_id = size = module_id = repeat = 0
         else:
             raise LogFormatError(f"unknown binary record tag {tag}")
@@ -403,30 +294,21 @@ def _parse_compiled(reader):
         append_size(size)
         append_module(module_id)
         append_repeat(repeat)
+    if validate:
+        compiled.validate()
     return compiled
 
 
-def loads_binary(data: bytes, validate: bool = True) -> TraceLog:
-    """Parse a binary log from bytes."""
+def loads_binary(data: bytes, validate: bool = True) -> CompiledTraceLog:
+    """Parse a binary log from bytes into packed columns."""
     return _parse(_Reader(data), validate)
 
 
 def load_binary(
     stream, validate: bool = True, chunk_size: int = CHUNK_BYTES
-) -> TraceLog:
+) -> CompiledTraceLog:
     """Parse a binary log from a readable *stream* in buffered chunks."""
     return _parse(_StreamReader(stream, chunk_size=chunk_size), validate)
-
-
-def loads_binary_compiled(data: bytes):
-    """Parse a binary log from bytes directly into a
-    :class:`repro.fastpath.CompiledTraceLog` (no record objects)."""
-    return _parse_compiled(_Reader(data))
-
-
-def load_binary_compiled(stream, chunk_size: int = CHUNK_BYTES):
-    """Parse a binary log from a stream directly into packed columns."""
-    return _parse_compiled(_StreamReader(stream, chunk_size=chunk_size))
 
 
 # ----------------------------------------------------------------------
@@ -434,20 +316,14 @@ def load_binary_compiled(stream, chunk_size: int = CHUNK_BYTES):
 # ----------------------------------------------------------------------
 
 
-def write_binary_log(log, path: str | Path) -> None:
+def write_binary_log(log: TraceLog | CompiledTraceLog, path: str | Path) -> None:
     """Write a :class:`TraceLog` or compiled log to a binary file
     (chunk-buffered)."""
     with open(path, "wb") as stream:
         dump_binary(log, stream)
 
 
-def read_binary_log(path: str | Path, validate: bool = True) -> TraceLog:
-    """Read a binary log file (chunk-buffered)."""
+def read_binary_log(path: str | Path, validate: bool = True) -> CompiledTraceLog:
+    """Read a binary log file into packed columns (chunk-buffered)."""
     with open(path, "rb") as stream:
         return load_binary(stream, validate=validate)
-
-
-def read_binary_log_compiled(path: str | Path):
-    """Read a binary log file directly into packed columns."""
-    with open(path, "rb") as stream:
-        return load_binary_compiled(stream)

@@ -1,22 +1,29 @@
-"""Parsing and validating trace logs written by :mod:`repro.tracelog.writer`."""
+"""Parsing and validating trace logs written by :mod:`repro.tracelog.writer`.
+
+Each line parses to one packed row, and the rows are packed into a
+:class:`repro.fastpath.CompiledTraceLog` once, through
+:func:`repro.fastpath.pack_columns`: no record object is built.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import LogFormatError
 from repro.tracelog.records import (
-    EndOfLog,
-    LogRecord,
-    ModuleUnmap,
-    TraceAccess,
-    TraceCreate,
-    TraceLog,
-    TracePin,
-    TraceUnpin,
+    OP_ACCESS,
+    OP_CREATE,
+    OP_END,
+    OP_PIN,
+    OP_UNMAP,
+    OP_UNPIN,
+    Row,
 )
 from repro.tracelog.writer import HEADER_MAGIC
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fastpath import CompiledTraceLog
 
 
 def _parse_header_line(line: str) -> dict[str, str]:
@@ -30,44 +37,47 @@ def _parse_header_line(line: str) -> dict[str, str]:
     return fields
 
 
-def _parse_record(line: str, line_no: int) -> LogRecord:
+def _parse_record(line: str, line_no: int) -> Row:
     parts = line.split()
     tag = parts[0]
     try:
         if tag == "C":
-            return TraceCreate(
-                time=int(parts[1]),
-                trace_id=int(parts[2]),
-                size=int(parts[3]),
-                module_id=int(parts[4]),
+            return (
+                OP_CREATE, int(parts[1]), int(parts[2]), int(parts[3]),
+                int(parts[4]), 0,
             )
         if tag == "A":
             repeat = int(parts[3]) if len(parts) > 3 else 1
-            return TraceAccess(time=int(parts[1]), trace_id=int(parts[2]), repeat=repeat)
+            return (OP_ACCESS, int(parts[1]), int(parts[2]), 0, 0, repeat)
         if tag == "U":
-            return ModuleUnmap(time=int(parts[1]), module_id=int(parts[2]))
+            return (OP_UNMAP, int(parts[1]), 0, 0, int(parts[2]), 0)
         if tag == "P":
-            return TracePin(time=int(parts[1]), trace_id=int(parts[2]))
+            return (OP_PIN, int(parts[1]), int(parts[2]), 0, 0, 0)
         if tag == "N":
-            return TraceUnpin(time=int(parts[1]), trace_id=int(parts[2]))
+            return (OP_UNPIN, int(parts[1]), int(parts[2]), 0, 0, 0)
         if tag == "E":
-            return EndOfLog(time=int(parts[1]))
+            return (OP_END, int(parts[1]), 0, 0, 0, 0)
     except (IndexError, ValueError) as exc:
         raise LogFormatError(f"line {line_no}: malformed record {line!r}") from exc
     raise LogFormatError(f"line {line_no}: unknown record tag {tag!r}")
 
 
-def parse_lines(lines: Iterable[str], validate: bool = True) -> TraceLog:
-    """Parse an iterable of log lines into a :class:`TraceLog`.
+def parse_lines(lines: Iterable[str], validate: bool = True) -> CompiledTraceLog:
+    """Parse an iterable of log lines into a packed log.
 
     Args:
         lines: Lines including the two header lines.
         validate: Run full structural validation after parsing.
 
     Raises:
-        LogFormatError: on any malformed line or (if *validate*) on a
-            structurally invalid log.
+        LogFormatError: on any malformed line.
+        LogOrderError: if *validate* and the log is structurally
+            invalid (see :meth:`repro.fastpath.CompiledTraceLog.validate`).
     """
+    # Imported lazily: repro.fastpath packs this package's record types,
+    # so a module-level import would cycle.
+    from repro.fastpath import pack_columns
+
     iterator = iter(lines)
     try:
         magic = next(iterator).rstrip("\n")
@@ -84,27 +94,34 @@ def parse_lines(lines: Iterable[str], validate: bool = True) -> TraceLog:
         if key not in meta:
             raise LogFormatError(f"metadata header missing {key!r}")
 
-    log = TraceLog(
-        benchmark=meta["benchmark"],
-        duration_seconds=float(meta["duration"]),
-        code_footprint=int(meta["footprint"]),
+    columns = ([], [], [], [], [], [])
+    add_op, add_time, add_trace, add_size, add_module, add_repeat = (
+        column.append for column in columns
     )
     for line_no, raw in enumerate(iterator, start=3):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        log.records.append(_parse_record(line, line_no))
+        if line and not line.startswith("#"):
+            op, time, trace_id, size, module, repeat = _parse_record(line, line_no)
+            add_op(op)
+            add_time(time)
+            add_trace(trace_id)
+            add_size(size)
+            add_module(module)
+            add_repeat(repeat)
+    log = pack_columns(
+        meta["benchmark"], float(meta["duration"]), int(meta["footprint"]), columns
+    )
     if validate:
         log.validate()
     return log
 
 
-def read_log(path: str | Path, validate: bool = True) -> TraceLog:
+def read_log(path: str | Path, validate: bool = True) -> CompiledTraceLog:
     """Read and parse the log file at *path*."""
     with open(path, "r", encoding="utf-8") as stream:
         return parse_lines(stream, validate=validate)
 
 
-def loads_log(text: str, validate: bool = True) -> TraceLog:
+def loads_log(text: str, validate: bool = True) -> CompiledTraceLog:
     """Parse a log from an in-memory string."""
     return parse_lines(text.splitlines(), validate=validate)

@@ -96,6 +96,20 @@ class EndOfLog:
 
 LogRecord = TraceCreate | TraceAccess | ModuleUnmap | TracePin | TraceUnpin | EndOfLog
 
+#: Record opcodes: the RTL2 binary tags and the packed ``op`` column of
+#: :class:`repro.fastpath.CompiledTraceLog`, so neither codec needs a
+#: translation table.
+OP_CREATE = 1
+OP_ACCESS = 2
+OP_UNMAP = 3
+OP_PIN = 4
+OP_UNPIN = 5
+OP_END = 6
+
+#: One record as a packed row: ``(op, time, trace_id, size, module,
+#: repeat)``, with 0 in the fields its kind does not carry.
+Row = tuple[int, int, int, int, int, int]
+
 
 @dataclass
 class TraceLog:

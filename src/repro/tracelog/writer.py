@@ -15,63 +15,78 @@ Format::
     P <time> <trace_id>                        (pin undeletable)
     N <time> <trace_id>                        (unpin)
     E <time>                                   (end of log)
+
+Lines are rendered from packed rows
+(:meth:`repro.fastpath.CompiledTraceLog.rows`); an object log is
+compiled first, so both forms of one log write the same text.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import LogFormatError
 from repro.tracelog.records import (
-    EndOfLog,
-    LogRecord,
-    ModuleUnmap,
-    TraceAccess,
-    TraceCreate,
+    OP_ACCESS,
+    OP_CREATE,
+    OP_END,
+    OP_PIN,
+    OP_UNMAP,
+    OP_UNPIN,
+    Row,
     TraceLog,
-    TracePin,
-    TraceUnpin,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.fastpath import CompiledTraceLog
 
 HEADER_MAGIC = "# repro-tracelog v1"
 
 
-def format_record(record: LogRecord) -> str:
-    """Render one record as its log line."""
-    if isinstance(record, TraceCreate):
-        return f"C {record.time} {record.trace_id} {record.size} {record.module_id}"
-    if isinstance(record, TraceAccess):
-        return f"A {record.time} {record.trace_id} {record.repeat}"
-    if isinstance(record, ModuleUnmap):
-        return f"U {record.time} {record.module_id}"
-    if isinstance(record, TracePin):
-        return f"P {record.time} {record.trace_id}"
-    if isinstance(record, TraceUnpin):
-        return f"N {record.time} {record.trace_id}"
-    if isinstance(record, EndOfLog):
-        return f"E {record.time}"
-    raise LogFormatError(f"unknown record type: {type(record).__name__}")
+def format_record(row: Row) -> str:
+    """Render one packed row as its log line."""
+    op, time, trace_id, size, module, repeat = row
+    if op == OP_ACCESS:
+        return f"A {time} {trace_id} {repeat}"
+    if op == OP_CREATE:
+        return f"C {time} {trace_id} {size} {module}"
+    if op == OP_UNMAP:
+        return f"U {time} {module}"
+    if op == OP_PIN:
+        return f"P {time} {trace_id}"
+    if op == OP_UNPIN:
+        return f"N {time} {trace_id}"
+    if op == OP_END:
+        return f"E {time}"
+    raise LogFormatError(f"unknown opcode {op}")
 
 
-def dump_log(log: TraceLog, stream: io.TextIOBase) -> None:
-    """Write *log* to an open text stream."""
+def dump_log(log: TraceLog | CompiledTraceLog, stream: io.TextIOBase) -> None:
+    """Write *log* to an open text stream, row by row (a
+    :class:`TraceLog` is compiled first)."""
+    # Imported lazily: repro.fastpath packs this package's record types,
+    # so a module-level import would cycle.
+    from repro.fastpath import ensure_compiled
+
+    compiled = ensure_compiled(log)
     stream.write(HEADER_MAGIC + "\n")
     stream.write(
-        f"# benchmark={log.benchmark} duration={log.duration_seconds} "
-        f"footprint={log.code_footprint}\n"
+        f"# benchmark={compiled.benchmark} duration={compiled.duration_seconds} "
+        f"footprint={compiled.code_footprint}\n"
     )
-    for record in log.records:
-        stream.write(format_record(record) + "\n")
+    for row in compiled.rows():
+        stream.write(format_record(row) + "\n")
 
 
-def write_log(log: TraceLog, path: str | Path) -> None:
+def write_log(log: TraceLog | CompiledTraceLog, path: str | Path) -> None:
     """Write *log* to a file at *path*."""
     with open(path, "w", encoding="utf-8") as stream:
         dump_log(log, stream)
 
 
-def dumps_log(log: TraceLog) -> str:
+def dumps_log(log: TraceLog | CompiledTraceLog) -> str:
     """Serialize *log* to a string."""
     buffer = io.StringIO()
     dump_log(log, buffer)

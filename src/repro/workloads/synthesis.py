@@ -256,7 +256,7 @@ def synthesize_log(
     scale: float | None = None,
 ) -> TraceLog:
     """:func:`synthesize_compiled` as record objects, for callers that
-    read or edit records (text I/O, shared-library composition)."""
+    read records one by one (the object-path oracles and their tests)."""
     return synthesize_compiled(profile, seed=seed, scale=scale).decompile()
 
 

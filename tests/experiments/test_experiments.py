@@ -59,7 +59,7 @@ class TestExperimentResult:
 
 class TestDataset:
     def test_memoizes_logs(self, tiny_dataset):
-        assert tiny_dataset.log("gzip") is tiny_dataset.log("gzip")
+        assert tiny_dataset.compiled("gzip") is tiny_dataset.compiled("gzip")
 
     def test_names_follow_subset(self, tiny_dataset):
         assert tiny_dataset.names == ["gzip", "art", "word", "solitaire"]

@@ -17,10 +17,9 @@ from repro.fastpath import (
 )
 from repro.tracelog.binary import (
     dumps_binary,
-    load_binary_compiled,
+    load_binary,
     loads_binary,
-    loads_binary_compiled,
-    read_binary_log_compiled,
+    read_binary_log,
     write_binary_log,
 )
 from repro.tracelog.records import TraceLog
@@ -119,7 +118,7 @@ def test_dump_binary_compiled_is_byte_identical(synth_log):
 
 def test_loads_binary_compiled(synth_log):
     blob = dumps_binary(synth_log)
-    compiled = loads_binary_compiled(blob)
+    compiled = loads_binary(blob)
     assert list(compiled.rows()) == list(compile_log(synth_log).rows())
     assert compiled.benchmark == synth_log.benchmark
     assert compiled.duration_seconds == synth_log.duration_seconds
@@ -128,7 +127,7 @@ def test_loads_binary_compiled(synth_log):
 
 def test_load_binary_compiled_streaming(small_log):
     blob = dumps_binary(small_log)
-    compiled = load_binary_compiled(io.BytesIO(blob), chunk_size=7)
+    compiled = load_binary(io.BytesIO(blob), chunk_size=7)
     assert compiled.decompile().records == small_log.records
 
 
@@ -136,10 +135,10 @@ def test_write_read_compiled_file(tmp_path, small_log):
     compiled = compile_log(small_log)
     path = tmp_path / "log.bin"
     write_binary_log(compiled, path)
-    assert read_binary_log_compiled(path).decompile().records == small_log.records
-    assert loads_binary(path.read_bytes()).records == small_log.records
+    assert read_binary_log(path).decompile().records == small_log.records
+    assert loads_binary(path.read_bytes()).decompile().records == small_log.records
 
 
 def test_loads_binary_compiled_rejects_garbage():
     with pytest.raises(LogFormatError):
-        loads_binary_compiled(b"NOPE")
+        loads_binary(b"NOPE")

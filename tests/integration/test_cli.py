@@ -63,7 +63,9 @@ class TestCommands:
         assert main(
             ["record", "art", str(binary_target), "--scale", "2", "--binary"]
         ) == 0
-        assert read_binary_log(binary_target).records == read_log(text_target).records
+        assert list(read_binary_log(binary_target).rows()) == list(
+            read_log(text_target).rows()
+        )
         assert binary_target.stat().st_size < text_target.stat().st_size
 
     def test_run_extension_experiment(self, capsys):

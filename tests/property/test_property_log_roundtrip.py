@@ -79,7 +79,7 @@ def arbitrary_logs(draw):
 @settings(max_examples=100, deadline=None)
 def test_write_read_round_trip_is_identity(log):
     parsed = loads_log(dumps_log(log))
-    assert parsed.records == log.records
+    assert parsed.decompile().records == log.records
     assert parsed.benchmark == log.benchmark
     assert parsed.code_footprint == log.code_footprint
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import GenerationalConfig
 from repro.errors import ConfigError, LogFormatError
+from repro.fastpath import OP_UNMAP
 from repro.shared.compose import (
     LIBRARY_TRACE_BASE,
     ProcessWorkload,
@@ -47,7 +48,7 @@ def _tiny_log(name: str) -> TraceLog:
 
 
 def _workload(name: str, namespace: str | None = None) -> ProcessWorkload:
-    log = _tiny_log(name)
+    log = _tiny_log(name).compile()
     return ProcessWorkload(
         name=name, log=log, keys=workload_keys(namespace or name, log)
     )
@@ -186,7 +187,7 @@ class TestComposition:
         workloads = composed([("word", 1)], seed=42, scale_multiplier=0.5)
         log = workloads[0].log
         log.validate()
-        created = {r.trace_id for r in log.creates()}
+        created = {r.trace_id for r in log.decompile().creates()}
         assert created == set(workloads[0].keys)
         assert log.benchmark == "word+shlib"
 
@@ -196,12 +197,10 @@ class TestComposition:
         workload = compose_with_libraries(
             "app", app, [prepare_library("lib", lib)]
         )
-        unmapped = [
-            r for r in workload.log.records if isinstance(r, ModuleUnmap)
-        ]
+        unmapped = [row for row in workload.log.rows() if row[0] == OP_UNMAP]
         # Only the app's own unmap survives the overlay.
         assert len(unmapped) == 1
-        assert unmapped[0].module_id == 1
+        assert unmapped[0][4] == 1  # module id
 
     def test_empty_mix_rejected(self):
         with pytest.raises(ConfigError):

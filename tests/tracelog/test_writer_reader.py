@@ -5,13 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import LogFormatError
+from repro.fastpath import OP_ACCESS, OP_CREATE, OP_END
 from repro.tracelog.reader import loads_log, parse_lines, read_log
-from repro.tracelog.records import (
-    EndOfLog,
-    TraceAccess,
-    TraceCreate,
-    TraceLog,
-)
+from repro.tracelog.records import TraceAccess
 from repro.tracelog.writer import dumps_log, format_record, write_log
 
 
@@ -22,13 +18,13 @@ class TestRoundTrip:
         assert parsed.benchmark == small_log.benchmark
         assert parsed.duration_seconds == small_log.duration_seconds
         assert parsed.code_footprint == small_log.code_footprint
-        assert parsed.records == small_log.records
+        assert parsed.decompile().records == small_log.records
 
     def test_file_round_trip(self, small_log, tmp_path):
         path = tmp_path / "log.txt"
         write_log(small_log, path)
         parsed = read_log(path)
-        assert parsed.records == small_log.records
+        assert parsed.decompile().records == small_log.records
 
     def test_repeat_default_omittable(self):
         parsed = parse_lines(
@@ -39,19 +35,20 @@ class TestRoundTrip:
                 "A 2 0",
             ]
         )
-        assert parsed.records[1] == TraceAccess(time=2, trace_id=0, repeat=1)
+        assert parsed.decompile().records[1] == TraceAccess(
+            time=2, trace_id=0, repeat=1
+        )
 
 
 class TestFormat:
     def test_format_create(self):
-        record = TraceCreate(time=5, trace_id=7, size=242, module_id=3)
-        assert format_record(record) == "C 5 7 242 3"
+        assert format_record((OP_CREATE, 5, 7, 242, 3, 0)) == "C 5 7 242 3"
 
     def test_format_access_with_repeat(self):
-        assert format_record(TraceAccess(time=9, trace_id=1, repeat=4)) == "A 9 1 4"
+        assert format_record((OP_ACCESS, 9, 1, 0, 0, 4)) == "A 9 1 4"
 
     def test_format_end(self):
-        assert format_record(EndOfLog(time=100)) == "E 100"
+        assert format_record((OP_END, 100, 0, 0, 0, 0)) == "E 100"
 
     def test_blank_lines_and_comments_skipped(self):
         parsed = parse_lines(
@@ -64,7 +61,7 @@ class TestFormat:
                 "E 2",
             ]
         )
-        assert len(parsed.records) == 2
+        assert len(parsed) == 2
         assert parsed.duration_seconds == 2.5
 
 
@@ -125,7 +122,7 @@ class TestErrors:
             ],
             validate=False,
         )
-        assert len(parsed.records) == 1
+        assert len(parsed) == 1
         with pytest.raises(LogFormatError):
             parse_lines(
                 [
