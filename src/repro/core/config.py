@@ -38,8 +38,6 @@ class GenerationalConfig:
         promotion_mode: When the threshold is checked.
         local_policy: Name of the local policy class for each cache
             (a key of :data:`repro.policies.POLICIES`).
-        fill_holes: Enable the hole-filling pseudo-circular variant the
-            paper rejected (ablation knob).
     """
 
     nursery_fraction: float = 0.45
@@ -48,7 +46,6 @@ class GenerationalConfig:
     promotion_threshold: int = 1
     promotion_mode: PromotionMode = PromotionMode.ON_HIT
     local_policy: str = "pseudo-circular"
-    fill_holes: bool = False
 
     def __post_init__(self) -> None:
         fractions = (

@@ -13,6 +13,13 @@ traces evicted from the persistent cache, are deleted — they must be
 regenerated if executed again.  Each cache runs the paper's
 pseudo-circular local policy (configurable).
 
+The cascade exists once, here.  A shared-persistent cache group
+(:mod:`repro.shared.manager`) runs one manager per process over that
+process's view of a pooled persistent cache, through three internal
+seams: the qualification test (:meth:`_qualifies`), where in the
+cascade it runs (a probation hit, a probation eviction, or both), and
+the oversized-trace fallback (:meth:`_fallback`).
+
 The entry point mirroring Figure 8's ``insertNewTrace`` is
 :meth:`GenerationalCacheManager.insert`; unlike the pseudocode, the
 implementation handles the general case where placing one trace
@@ -33,9 +40,8 @@ from repro.core.manager import (
     EvictionReason,
     Inserted,
     Promoted,
+    make_cache,
 )
-from repro.errors import ConfigError
-from repro.policies import POLICIES
 from repro.policies.base import CachedTrace, CodeCache
 
 NURSERY = "nursery"
@@ -51,33 +57,29 @@ class GenerationalCacheManager(CacheManager):
     # promotion admits the record it moves.
     fastpath_safe = True
 
-    def __init__(self, total_capacity: int, config: GenerationalConfig) -> None:
-        policy_class = POLICIES.get(config.local_policy)
-        if policy_class is None:
-            raise ConfigError(
-                f"unknown local policy {config.local_policy!r}; "
-                f"choose from {sorted(POLICIES)}"
-            )
+    def __init__(
+        self,
+        total_capacity: int,
+        config: GenerationalConfig,
+        persistent: CodeCache | None = None,
+    ) -> None:
+        """*persistent*, when given, replaces the persistent cache the
+        configured fraction would build (a shared-persistent group
+        passes each process's view of its pooled cache)."""
         nursery_size, probation_size, persistent_size = config.sizes(total_capacity)
-        kwargs = {}
-        if config.local_policy == "pseudo-circular":
-            kwargs["fill_holes"] = config.fill_holes
-        self.nursery: CodeCache = policy_class(nursery_size, name=NURSERY, **kwargs)
-        self.probation: CodeCache = policy_class(
-            probation_size, name=PROBATION, **kwargs
-        )
-        self.persistent: CodeCache = policy_class(
-            persistent_size, name=PERSISTENT, **kwargs
-        )
+        policy = config.local_policy
+        self.nursery = make_cache(policy, nursery_size, NURSERY)
+        self.probation = make_cache(policy, probation_size, PROBATION)
+        if persistent is None:
+            persistent = make_cache(policy, persistent_size, PERSISTENT)
+        self.persistent = persistent
         self.config = config
         self.name = f"generational[{config.label()}]"
-        self._by_name = {
-            NURSERY: self.nursery,
-            PROBATION: self.probation,
-            PERSISTENT: self.persistent,
-        }
-        # Hoisted for the per-hit fast path.
+        self._by_name = {cache.name: cache for cache in self.caches()}
+        # Where the qualification test runs; hoisted for the per-hit
+        # fast path.
         self._promote_on_hit = config.promotion_mode is PromotionMode.ON_HIT
+        self._promote_on_eviction = not self._promote_on_hit
         self._threshold = config.promotion_threshold
 
     def caches(self) -> list[CodeCache]:
@@ -89,19 +91,15 @@ class GenerationalCacheManager(CacheManager):
 
     def on_hit(self, trace_id: int, time: int, count: int = 1) -> AccessOutcome:
         """Record a hit; in on-hit promotion mode a probation hit that
-        reaches the threshold relocates the trace to the persistent
-        cache immediately."""
+        qualifies the trace (:meth:`_qualifies`) relocates it to the
+        persistent cache immediately."""
         for cache in self.caches():
             if trace_id in cache:
-                trace = cache.touch(trace_id, time, count)
-                effects: list[Effect] = []
-                if (
-                    cache is self.probation
-                    and self.config.promotion_mode is PromotionMode.ON_HIT
-                    and trace.access_count >= self.config.promotion_threshold
-                    and not trace.pinned
-                ):
-                    self._promote(trace, self.probation, self.persistent, time, effects)
+                if cache is self.probation and self._promote_on_hit:
+                    effects = list(self._probation_hit(trace_id, time, count))
+                else:
+                    cache.touch(trace_id, time, count)
+                    effects = []
                 return AccessOutcome(cache=cache.name, effects=effects)
         raise KeyError(f"on_hit called for non-resident trace {trace_id}")
 
@@ -127,9 +125,9 @@ class GenerationalCacheManager(CacheManager):
 
     def _probation_hit(self, trace_id: int, time: int, count: int):
         """Probation hit handler under on-hit promotion: touch, then
-        relocate to the persistent cache once the threshold is met."""
+        relocate to the persistent cache once the trace qualifies."""
         trace = self.probation.touch_resident(trace_id, time, count)
-        if trace.access_count >= self._threshold and not trace.pinned:
+        if not trace.pinned and self._qualifies(trace, time):
             effects: list[Effect] = []
             self._promote(trace, self.probation, self.persistent, time, effects)
             return effects
@@ -147,19 +145,17 @@ class GenerationalCacheManager(CacheManager):
 
         This is Figure 8's ``insertNewTrace``, generalized to
         multi-victim placements (see :meth:`_cascade`).  A trace too
-        large for the nursery (possible under extreme proportions) is
-        placed directly in the largest cache that fits it, so an
-        oversized trace degrades placement instead of aborting the
-        run.  A trace no cache can hold stays uncached — the system
-        executes it from the basic-block cache, paying a regeneration
-        on every entry."""
+        large for the nursery (possible under extreme proportions) goes
+        to the cache :meth:`_fallback` picks, so an oversized trace
+        degrades placement instead of aborting the run.  A trace no
+        cache can hold stays uncached — the system executes it from the
+        basic-block cache, paying a regeneration on every entry."""
         effects: list[Effect] = []
         target = self.nursery
         if size > target.capacity:
-            fitting = [c for c in self.caches() if c.capacity >= size]
-            if not fitting:
+            target = self._fallback(size)
+            if target is None:
                 return effects  # uncacheable: no cache will ever hold it
-            target = max(fitting, key=lambda cache: cache.capacity)
         trace = CachedTrace(trace_id, size, module_id, time, 0, time, False)
         victims = target.admit(trace, time)
         effects.append(Inserted(trace_id=trace_id, size=size, cache=target.name))
@@ -184,8 +180,8 @@ class GenerationalCacheManager(CacheManager):
                 self._promote(victim, cache, self.probation, time, effects)
             elif (
                 cache is self.probation
-                and not self._promote_on_hit
-                and victim.access_count >= self._threshold
+                and self._promote_on_eviction
+                and self._qualifies(victim, time)
             ):
                 self._promote(victim, cache, self.persistent, time, effects)
             else:
@@ -238,3 +234,22 @@ class GenerationalCacheManager(CacheManager):
         )
         if victims:
             self._cascade(dst, victims, time, effects)
+
+    # ------------------------------------------------------------------
+    # Seams
+    # ------------------------------------------------------------------
+
+    def _qualifies(self, trace: CachedTrace, time: int) -> bool:
+        """Whether the probation trace *trace* has earned the persistent
+        cache: its probation hit count reached the threshold."""
+        return trace.access_count >= self._threshold
+
+    def _fallback(self, size: int) -> CodeCache | None:
+        """The cache for a trace too large for the nursery: the largest
+        one that fits it (probation on a tie), or None."""
+        fitting = [
+            cache
+            for cache in (self.probation, self.persistent)
+            if cache.capacity >= size
+        ]
+        return max(fitting, key=lambda cache: cache.capacity, default=None)

@@ -20,7 +20,8 @@ from repro.core.effects import (
     Inserted,
     Promoted,
 )
-from repro.errors import InvariantViolation
+from repro.errors import ConfigError, InvariantViolation
+from repro.policies import POLICIES
 from repro.policies.base import CodeCache
 
 __all__ = [
@@ -31,7 +32,23 @@ __all__ = [
     "EvictionReason",
     "Inserted",
     "Promoted",
+    "make_cache",
 ]
+
+
+def make_cache(policy: str, capacity: int, name: str) -> CodeCache:
+    """A *capacity*-byte cache named *name* under the local *policy* (a
+    key of :data:`repro.policies.POLICIES`).
+
+    Raises:
+        ConfigError: for an unknown policy name.
+    """
+    policy_class = POLICIES.get(policy)
+    if policy_class is None:
+        raise ConfigError(
+            f"unknown local policy {policy!r}; choose from {sorted(POLICIES)}"
+        )
+    return policy_class(capacity, name=name)
 
 
 class CacheManager(abc.ABC):

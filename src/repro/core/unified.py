@@ -16,9 +16,8 @@ from repro.core.manager import (
     Evicted,
     EvictionReason,
     Inserted,
+    make_cache,
 )
-from repro.errors import ConfigError
-from repro.policies import POLICIES
 from repro.policies.base import CodeCache
 from repro.policies.flush import PreemptiveFlushCache
 
@@ -36,13 +35,7 @@ class UnifiedCacheManager(CacheManager):
         local_policy: str = "pseudo-circular",
         cache_name: str = "unified",
     ) -> None:
-        policy_class = POLICIES.get(local_policy)
-        if policy_class is None:
-            raise ConfigError(
-                f"unknown local policy {local_policy!r}; "
-                f"choose from {sorted(POLICIES)}"
-            )
-        self._cache: CodeCache = policy_class(capacity, name=cache_name)
+        self._cache: CodeCache = make_cache(local_policy, capacity, cache_name)
         self.name = f"unified[{local_policy}]"
         self._is_flush_cache = isinstance(self._cache, PreemptiveFlushCache)
 

@@ -35,12 +35,23 @@ class PseudoCircularCache(CodeCache):
         super().__init__(capacity, name)
         self._pointer = 0
         self.fill_holes = fill_holes
+
+    @property
+    def fill_holes(self) -> bool:
+        """Whether placements try the first hole that fits before the
+        rotating scan (the variant the paper rejected)."""
+        return self._fill_holes
+
+    @fill_holes.setter
+    def fill_holes(self, value: bool) -> None:
+        self._fill_holes = value
         # The fused admit below hand-inlines _allocate's steady state
-        # and the pointer bump; a subclass overriding either hook gets
-        # the general path so its overrides keep working.
+        # and the pointer bump, and never fills holes; a subclass
+        # overriding either hook gets the general path so its
+        # overrides keep working.
         cls = type(self)
         self._fused_admit = (
-            not fill_holes
+            not value
             and cls._allocate is PseudoCircularCache._allocate
             and cls._after_insert is PseudoCircularCache._after_insert
         )
@@ -103,7 +114,7 @@ class PseudoCircularCache(CodeCache):
                 f"{self.name!r} capacity ({self.capacity} B)"
             )
         self._placed_in_hole = False
-        if self.fill_holes:
+        if self._fill_holes:
             start = self.arena.first_fit(size)
             if start is not None:
                 self._placed_in_hole = True

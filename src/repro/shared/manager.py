@@ -16,7 +16,9 @@ points; build them through :func:`make_group`:
 * :class:`SharedPersistentGroup` — per-process nursery/probation in
   front of one :class:`~repro.shared.cache.SharedPersistentCache`;
   probation graduates *attach* instead of inserting when their content
-  is already shared.
+  is already shared.  Each process runs the paper's cascade
+  (:class:`~repro.core.generational.GenerationalCacheManager`) over its
+  view of the shared cache.
 * :class:`SharedAllGroup` — a single hierarchy serves every process,
   with group-level reference counting so an unmap by one process only
   deletes traces no other process still maps.
@@ -32,18 +34,11 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.core.config import GenerationalConfig, PromotionMode
-from repro.core.effects import (
-    AccessOutcome,
-    Effect,
-    Evicted,
-    EvictionReason,
-    Inserted,
-    Promoted,
-)
+from repro.core.config import GenerationalConfig
+from repro.core.effects import AccessOutcome, Effect, Evicted, EvictionReason
 from repro.core.generational import NURSERY, PROBATION, GenerationalCacheManager
+from repro.core.manager import make_cache
 from repro.errors import ConfigError, InvariantViolation
-from repro.policies import POLICIES
 from repro.policies.base import CachedTrace, CodeCache
 from repro.shared.cache import SHARED_PERSISTENT, SharedPersistentCache
 from repro.shared.policy import SharingConfig, SharingPolicy, TemperatureTracker
@@ -63,19 +58,6 @@ class InsertOutcome:
 
     effects: list[Effect] = field(default_factory=list)
     deduped: bool = False
-
-
-def _make_cache(config: GenerationalConfig, capacity: int, name: str) -> CodeCache:
-    policy_class = POLICIES.get(config.local_policy)
-    if policy_class is None:
-        raise ConfigError(
-            f"unknown local policy {config.local_policy!r}; "
-            f"choose from {sorted(POLICIES)}"
-        )
-    kwargs = {}
-    if config.local_policy == "pseudo-circular":
-        kwargs["fill_holes"] = config.fill_holes
-    return policy_class(capacity, name=name, **kwargs)
 
 
 #: How one cache of a group serves hits for one process, as
@@ -104,15 +86,25 @@ def _manager_entries(manager: GenerationalCacheManager) -> dict[str, HitEntry]:
 
 
 def _local_handler(
-    handler: Callable[[int, int, int], Sequence[Effect]]
+    handler: Callable[[int, int, int], Sequence[Effect]],
+    tracker: TemperatureTracker | None = None,
 ) -> HitHandler:
     """Adapt a manager's ``(trace_id, time, count)`` hit handler to
-    :data:`HitHandler`."""
+    :data:`HitHandler`, observing *tracker*'s temperature first if
+    given."""
+    if tracker is None:
 
-    def local_hit(process, gid, time, count, module_id):
+        def local_hit(process, gid, time, count, module_id):
+            return handler(gid, time, count)
+
+        return local_hit
+    observe = tracker.observe
+
+    def observed_hit(process, gid, time, count, module_id):
+        observe(gid, time, count)
         return handler(gid, time, count)
 
-    return local_hit
+    return observed_hit
 
 
 def _touching_handler(
@@ -310,31 +302,14 @@ def make_group(
 # ----------------------------------------------------------------------
 
 
-class PrivateCacheGroup(SharedCacheGroup):
-    """Every process owns a full generational hierarchy; no sharing."""
+class _PerProcessGroup(SharedCacheGroup):
+    """A group that runs one generational manager per process; the
+    process's manager serves its lookups, inserts, unmaps and pins."""
 
-    def __init__(
-        self,
-        capacities: Sequence[int],
-        config: GenerationalConfig,
-        sharing: SharingConfig,
-    ) -> None:
-        super().__init__(capacities, config, sharing)
-        self._managers = [
-            GenerationalCacheManager(cap, config) for cap in self.capacities
-        ]
-        self.name = f"group[private x{self.n_processes}]"
+    _managers: list[GenerationalCacheManager]
 
     def lookup(self, process: int, gid: int) -> str | None:
         return self._managers[process].lookup(gid)
-
-    def on_hit(
-        self, process: int, gid: int, time: int, count: int, module_id: int
-    ) -> AccessOutcome:
-        return self._managers[process].on_hit(gid, time, count)
-
-    def hit_entries(self, process: int) -> dict[str, HitEntry]:
-        return _manager_entries(self._managers[process])
 
     def insert(
         self, process: int, gid: int, size: int, module_id: int, time: int
@@ -353,6 +328,30 @@ class PrivateCacheGroup(SharedCacheGroup):
     def unpin(self, process: int, gid: int) -> bool:
         return self._managers[process].unpin(gid)
 
+
+class PrivateCacheGroup(_PerProcessGroup):
+    """Every process owns a full generational hierarchy; no sharing."""
+
+    def __init__(
+        self,
+        capacities: Sequence[int],
+        config: GenerationalConfig,
+        sharing: SharingConfig,
+    ) -> None:
+        super().__init__(capacities, config, sharing)
+        self._managers = [
+            GenerationalCacheManager(cap, config) for cap in self.capacities
+        ]
+        self.name = f"group[private x{self.n_processes}]"
+
+    def on_hit(
+        self, process: int, gid: int, time: int, count: int, module_id: int
+    ) -> AccessOutcome:
+        return self._managers[process].on_hit(gid, time, count)
+
+    def hit_entries(self, process: int) -> dict[str, HitEntry]:
+        return _manager_entries(self._managers[process])
+
     def check_invariants(self) -> None:
         for manager in self._managers:
             manager.check_invariants()
@@ -367,13 +366,134 @@ class PrivateCacheGroup(SharedCacheGroup):
 # ----------------------------------------------------------------------
 
 
-class SharedPersistentGroup(SharedCacheGroup):
+class _SharedTier:
+    """One process's view of the group's :class:`SharedPersistentCache`,
+    in the place of its manager's persistent cache.
+
+    :meth:`admit` attaches the process to an identical copy another
+    process already shared, or places the first copy; a pinned
+    graduate's pin claim goes to the process.  :meth:`remove_module`,
+    :meth:`pin` and :meth:`unpin` keep the attachments and pin claims,
+    and every copy that leaves the shared cache drops its temperature
+    and pin claims.  The view holds the shared cache and the group's
+    pin-claim table and tracker, never the group itself, so a group is
+    freed by reference counting alone.
+    """
+
+    #: Every hit on a shared copy attaches the process.
+    plain_touch = False
+
+    def __init__(
+        self,
+        shared: SharedPersistentCache,
+        process: int,
+        pin_claims: dict[int, set[int]],
+        tracker: TemperatureTracker | None,
+    ) -> None:
+        self.name = SHARED_PERSISTENT
+        self.capacity = shared.capacity
+        self._shared = shared
+        self._process = process
+        self._pin_claims = pin_claims
+        self._tracker = tracker
+
+    def __contains__(self, gid: int) -> bool:
+        return self._shared.contains(gid)
+
+    def touch(self, gid: int, time: int, count: int = 1) -> CachedTrace:
+        return self._shared.touch(gid, time, count)
+
+    def admit(self, trace: CachedTrace, time: int) -> list[CachedTrace]:
+        gid = trace.trace_id
+        if self._shared.contains(gid):
+            # Another process already graduated identical content: the
+            # local record is dropped and the process attaches (a
+            # relocation-priced move, but no new shared bytes).
+            self._shared.attach(gid, self._process, trace.module_id)
+            return []
+        victims = self._shared.admit(trace, time, self._process)
+        if trace.pinned:
+            # The pin moved with the record; the graduating process
+            # holds its claim.
+            self._pin_claims.setdefault(gid, set()).add(self._process)
+        for victim in victims:
+            self._forget(victim.trace_id)
+        return victims
+
+    def remove_module(self, module_id: int) -> list[CachedTrace]:
+        """Drop the process's claims made from *module_id*; returns the
+        copies no process maps any more."""
+        evicted, detached = self._shared.detach_module(self._process, module_id)
+        for gid in detached:
+            self.unpin(gid)
+        for trace in evicted:
+            self._forget(trace.trace_id)
+        return evicted
+
+    def pin(self, gid: int) -> None:
+        self._pin_claims.setdefault(gid, set()).add(self._process)
+        self._shared.pin(gid)
+
+    def unpin(self, gid: int) -> None:
+        """Drop the process's pin claim; the last claim unpins."""
+        claims = self._pin_claims.get(gid)
+        if claims is None:
+            return
+        claims.discard(self._process)
+        if not claims:
+            del self._pin_claims[gid]
+            if self._shared.contains(gid):
+                self._shared.unpin(gid)
+
+    def _forget(self, gid: int) -> None:
+        if self._tracker is not None:
+            self._tracker.forget(gid)
+        self._pin_claims.pop(gid, None)
+
+
+class _ProcessManager(GenerationalCacheManager):
+    """One process's cascade in a shared-persistent group, over its
+    :class:`_SharedTier`.  An oversized trace takes the pooled cache on
+    a capacity tie with probation.  With a *tracker*, the decayed
+    temperature replaces the threshold, tested on every probation hit
+    and every probation eviction, whatever the mode."""
+
+    # The group's hit entries drive it; nothing hands it to
+    # replay_compiled.
+    fastpath_safe = False
+
+    def __init__(
+        self,
+        capacity: int,
+        config: GenerationalConfig,
+        tier: _SharedTier,
+        tracker: TemperatureTracker | None,
+    ) -> None:
+        super().__init__(capacity, config, tier)
+        self._tracker = tracker
+        if tracker is not None:
+            self._promote_on_hit = self._promote_on_eviction = True
+
+    def _qualifies(self, trace: CachedTrace, time: int) -> bool:
+        if self._tracker is None:
+            return trace.access_count >= self._threshold
+        return self._tracker.is_hot(trace.trace_id, time)
+
+    def _fallback(self, size: int) -> CodeCache | None:
+        shared = self.persistent
+        if shared.capacity >= size and shared.capacity >= self.probation.capacity:
+            return shared
+        return super()._fallback(size)
+
+
+class SharedPersistentGroup(_PerProcessGroup):
     """Per-process nursery/probation over one shared persistent cache.
 
     Each process keeps its configured nursery and probation fractions
     of its own budget; the per-process persistent shares pool into one
     :class:`SharedPersistentCache`, so total capacity equals the
-    private baseline exactly.
+    private baseline exactly.  Each process's manager runs the paper's
+    cascade over its :class:`_SharedTier` view of the pooled cache.
     """
 
     def __init__(
@@ -383,18 +503,11 @@ class SharedPersistentGroup(SharedCacheGroup):
         sharing: SharingConfig,
     ) -> None:
         super().__init__(capacities, config, sharing)
-        self._nurseries: list[CodeCache] = []
-        self._probations: list[CodeCache] = []
-        shared_capacity = 0
-        for cap in self.capacities:
-            nursery_size, probation_size, persistent_size = config.sizes(cap)
-            self._nurseries.append(_make_cache(config, nursery_size, NURSERY))
-            self._probations.append(_make_cache(config, probation_size, PROBATION))
-            shared_capacity += persistent_size
+        pooled = sum(config.sizes(cap)[2] for cap in self.capacities)
         self.shared = SharedPersistentCache(
-            _make_cache(config, shared_capacity, SHARED_PERSISTENT)
+            make_cache(config.local_policy, pooled, SHARED_PERSISTENT)
         )
-        self._tracker = (
+        tracker = self._tracker = (
             TemperatureTracker(
                 threshold=sharing.temperature_threshold,
                 half_life=sharing.temperature_half_life,
@@ -404,10 +517,19 @@ class SharedPersistentGroup(SharedCacheGroup):
         )
         #: Pin claims on shared copies: gid -> claiming processes.
         self._pin_claims: dict[int, set[int]] = {}
+        self._managers = [
+            _ProcessManager(
+                cap,
+                config,
+                _SharedTier(self.shared, process, self._pin_claims, tracker),
+                tracker,
+            )
+            for process, cap in enumerate(self.capacities)
+        ]
         self._shared_entry: HitEntry = (
             SHARED_PERSISTENT,
             True,
-            _touching_handler(self.shared._cache, self._tracker, self.shared),
+            _touching_handler(self.shared._cache, tracker, self.shared),
             self.shared._cache,
         )
         self.name = (
@@ -416,19 +538,11 @@ class SharedPersistentGroup(SharedCacheGroup):
 
     # -- operations ------------------------------------------------------
 
-    def lookup(self, process: int, gid: int) -> str | None:
-        if gid in self._nurseries[process]:
-            return NURSERY
-        if gid in self._probations[process]:
-            return PROBATION
-        if self.shared.contains(gid):
-            return SHARED_PERSISTENT
-        return None
-
     def on_hit(
         self, process: int, gid: int, time: int, count: int, module_id: int
     ) -> AccessOutcome:
-        cache = self.lookup(process, gid)
+        manager = self._managers[process]
+        cache = manager.lookup(gid)
         if cache is None:
             raise KeyError(
                 f"on_hit called for trace {gid} not resident for process "
@@ -436,56 +550,33 @@ class SharedPersistentGroup(SharedCacheGroup):
             )
         if self._tracker is not None:
             self._tracker.observe(gid, time, count)
-        if cache == NURSERY:
-            self._nurseries[process].touch(gid, time, count)
-            return AccessOutcome(cache=NURSERY, effects=[])
-        if cache == PROBATION:
-            probation = self._probations[process]
-            trace = probation.touch(gid, time, count)
-            effects: list[Effect] = []
-            if self._qualifies_on_hit(gid, trace, time) and not trace.pinned:
-                self._promote_to_shared(process, trace, probation, time, effects)
-            return AccessOutcome(cache=PROBATION, effects=effects)
-        # A process may hit code it never compiled (or whose own copy
-        # already died): it links to the shared copy.
-        self.shared.attach(gid, process, module_id)
-        self.shared.touch(gid, time, count)
-        return AccessOutcome(cache=SHARED_PERSISTENT, effects=[])
+        if cache == SHARED_PERSISTENT:
+            # A process may hit code it never compiled (or whose own
+            # copy already died): it links to the shared copy.
+            self.shared.attach(gid, process, module_id)
+        return manager.on_hit(gid, time, count)
 
     def hit_entries(self, process: int) -> dict[str, HitEntry]:
+        manager = self._managers[process]
         tracker = self._tracker
-        nursery = self._nurseries[process]
-        probation = self._probations[process]
-
-        def probation_hit(process, gid, time, count, module_id):
-            if tracker is not None:
-                tracker.observe(gid, time, count)
-            trace = probation.touch_resident(gid, time, count)
-            if self._qualifies_on_hit(gid, trace, time) and not trace.pinned:
-                effects: list[Effect] = []
-                self._promote_to_shared(process, trace, probation, time, effects)
-                return effects
-            return ()
-
-        plain_nursery = tracker is None and nursery.plain_touch
-        # Without a tracker, on-eviction promotion never promotes on a
-        # hit, so plain-touch probation hits are plain.
-        plain_probation = (
-            tracker is None
-            and probation.plain_touch
-            and self.config.promotion_mode is not PromotionMode.ON_HIT
-        )
+        nursery = manager.nursery
+        probation = manager.probation
+        # With a tracker every hit observes the temperature, so no
+        # cache is plain.
+        plain = manager.plain_hit_caches() if tracker is None else ()
         return {
             NURSERY: (
                 NURSERY,
                 False,
-                None if plain_nursery else _touching_handler(nursery, tracker),
+                None if NURSERY in plain else _touching_handler(nursery, tracker),
                 nursery,
             ),
             PROBATION: (
                 PROBATION,
                 False,
-                None if plain_probation else probation_hit,
+                None
+                if PROBATION in plain
+                else _local_handler(manager.hit_handler(PROBATION), tracker),
                 probation,
             ),
             SHARED_PERSISTENT: self._shared_entry,
@@ -499,65 +590,13 @@ class SharedPersistentGroup(SharedCacheGroup):
             # the process attaches instead of generating code.
             self.shared.attach(gid, process, module_id)
             return InsertOutcome(effects=[], deduped=True)
-        effects: list[Effect] = []
-        self._insert_new_trace(process, gid, size, module_id, time, effects)
-        return InsertOutcome(effects=effects, deduped=False)
-
-    def unmap_module(
-        self, process: int, module_id: int, time: int
-    ) -> list[Effect]:
-        effects: list[Effect] = []
-        for cache in (self._nurseries[process], self._probations[process]):
-            for trace in cache.remove_module(module_id):
-                effects.append(
-                    Evicted(
-                        trace_id=trace.trace_id,
-                        size=trace.size,
-                        cache=cache.name,
-                        reason=EvictionReason.UNMAP,
-                    )
-                )
-        evicted, detached = self.shared.detach_module(process, module_id)
-        for gid in detached:
-            self._drop_pin_claim(process, gid)
-        for trace in evicted:
-            self._forget(trace.trace_id)
-            effects.append(
-                Evicted(
-                    trace_id=trace.trace_id,
-                    size=trace.size,
-                    cache=SHARED_PERSISTENT,
-                    reason=EvictionReason.UNMAP,
-                )
-            )
-        return effects
-
-    def pin(self, process: int, gid: int) -> bool:
-        for cache in (self._nurseries[process], self._probations[process]):
-            if gid in cache:
-                cache.pin(gid)
-                return True
-        if self.shared.contains(gid):
-            self._pin_claims.setdefault(gid, set()).add(process)
-            self.shared.pin(gid)
-            return True
-        return False
-
-    def unpin(self, process: int, gid: int) -> bool:
-        for cache in (self._nurseries[process], self._probations[process]):
-            if gid in cache:
-                cache.unpin(gid)
-                return True
-        if self.shared.contains(gid):
-            self._drop_pin_claim(process, gid)
-            return True
-        return False
+        return super().insert(process, gid, size, module_id, time)
 
     def check_invariants(self) -> None:
         self.shared.check_invariants()
-        for process in range(self.n_processes):
-            nursery = self._nurseries[process]
-            probation = self._probations[process]
+        for process, manager in enumerate(self._managers):
+            nursery = manager.nursery
+            probation = manager.probation
             nursery.check_invariants()
             probation.check_invariants()
             both = set(nursery.arena.trace_ids()) & set(
@@ -573,196 +612,11 @@ class SharedPersistentGroup(SharedCacheGroup):
                 )
 
     def _iter_caches(self) -> Iterable[CodeCache]:
-        yield from self._nurseries
-        yield from self._probations
+        for manager in self._managers:
+            yield manager.nursery
+        for manager in self._managers:
+            yield manager.probation
         yield self.shared._cache
-
-    # -- internals -------------------------------------------------------
-
-    def _qualifies_on_hit(self, gid: int, trace: CachedTrace, time: int) -> bool:
-        if self._tracker is not None:
-            return self._tracker.is_hot(gid, time)
-        return (
-            self.config.promotion_mode is PromotionMode.ON_HIT
-            and trace.access_count >= self.config.promotion_threshold
-        )
-
-    def _qualifies_on_eviction(self, victim: CachedTrace, time: int) -> bool:
-        if self._tracker is not None:
-            return self._tracker.is_hot(victim.trace_id, time)
-        return (
-            self.config.promotion_mode is PromotionMode.ON_EVICTION
-            and victim.access_count >= self.config.promotion_threshold
-        )
-
-    def _insert_new_trace(
-        self,
-        process: int,
-        gid: int,
-        size: int,
-        module_id: int,
-        time: int,
-        effects: list[Effect],
-    ) -> None:
-        nursery = self._nurseries[process]
-        if size > nursery.capacity:
-            # Oversized-trace fallback, mirroring the generational
-            # manager: place directly in the largest cache that fits.
-            probation = self._probations[process]
-            if self.shared.capacity >= size and self.shared.capacity >= probation.capacity:
-                victims = self.shared.insert(gid, size, time, process, module_id)
-                effects.append(
-                    Inserted(trace_id=gid, size=size, cache=SHARED_PERSISTENT)
-                )
-                for victim in victims:
-                    self._forget(victim.trace_id)
-                    effects.append(
-                        Evicted(
-                            trace_id=victim.trace_id,
-                            size=victim.size,
-                            cache=SHARED_PERSISTENT,
-                            reason=EvictionReason.CAPACITY,
-                        )
-                    )
-                return
-            if probation.capacity >= size:
-                result = probation.insert(gid, size, module_id, time)
-                effects.append(Inserted(trace_id=gid, size=size, cache=PROBATION))
-                for victim in result.evicted:
-                    self._handle_probation_eviction(process, victim, time, effects)
-                return
-            return  # uncacheable: no cache will ever hold it
-        result = nursery.insert(gid, size, module_id, time)
-        effects.append(Inserted(trace_id=gid, size=size, cache=NURSERY))
-        for victim in result.evicted:
-            self._promote_to_probation(process, victim, time, effects)
-
-    def _promote_to_probation(
-        self,
-        process: int,
-        victim: CachedTrace,
-        time: int,
-        effects: list[Effect],
-    ) -> None:
-        nursery = self._nurseries[process]
-        probation = self._probations[process]
-        if victim.trace_id in nursery:
-            nursery.remove(victim.trace_id)
-        if victim.size > probation.capacity:
-            effects.append(
-                Evicted(
-                    trace_id=victim.trace_id,
-                    size=victim.size,
-                    cache=NURSERY,
-                    reason=EvictionReason.CAPACITY,
-                )
-            )
-            return
-        displaced = probation.admit(victim, time)
-        effects.append(
-            Promoted(
-                trace_id=victim.trace_id,
-                size=victim.size,
-                src=NURSERY,
-                dst=PROBATION,
-            )
-        )
-        for trace in displaced:
-            self._handle_probation_eviction(process, trace, time, effects)
-
-    def _handle_probation_eviction(
-        self,
-        process: int,
-        victim: CachedTrace,
-        time: int,
-        effects: list[Effect],
-    ) -> None:
-        if self._qualifies_on_eviction(victim, time):
-            self._promote_to_shared(
-                process, victim, self._probations[process], time, effects
-            )
-        else:
-            effects.append(
-                Evicted(
-                    trace_id=victim.trace_id,
-                    size=victim.size,
-                    cache=PROBATION,
-                    reason=EvictionReason.CAPACITY,
-                )
-            )
-
-    def _promote_to_shared(
-        self,
-        process: int,
-        trace: CachedTrace,
-        src: CodeCache,
-        time: int,
-        effects: list[Effect],
-    ) -> None:
-        if trace.trace_id in src:
-            src.remove(trace.trace_id)
-        if self.shared.contains(trace.trace_id):
-            # Another process already graduated identical content: the
-            # local copy is dropped and the process attaches (a
-            # relocation-priced move, but no new shared bytes).
-            self.shared.attach(trace.trace_id, process, trace.module_id)
-            effects.append(
-                Promoted(
-                    trace_id=trace.trace_id,
-                    size=trace.size,
-                    src=src.name,
-                    dst=SHARED_PERSISTENT,
-                )
-            )
-            return
-        if trace.size > self.shared.capacity:
-            effects.append(
-                Evicted(
-                    trace_id=trace.trace_id,
-                    size=trace.size,
-                    cache=src.name,
-                    reason=EvictionReason.CAPACITY,
-                )
-            )
-            return
-        victims = self.shared.admit(trace, time, process)
-        if trace.pinned:
-            # The pin moved with the record; the graduating process
-            # holds its claim.
-            self._pin_claims.setdefault(trace.trace_id, set()).add(process)
-        effects.append(
-            Promoted(
-                trace_id=trace.trace_id,
-                size=trace.size,
-                src=src.name,
-                dst=SHARED_PERSISTENT,
-            )
-        )
-        for victim in victims:
-            self._forget(victim.trace_id)
-            effects.append(
-                Evicted(
-                    trace_id=victim.trace_id,
-                    size=victim.size,
-                    cache=SHARED_PERSISTENT,
-                    reason=EvictionReason.CAPACITY,
-                )
-            )
-
-    def _drop_pin_claim(self, process: int, gid: int) -> None:
-        claims = self._pin_claims.get(gid)
-        if claims is None:
-            return
-        claims.discard(process)
-        if not claims:
-            del self._pin_claims[gid]
-            if self.shared.contains(gid):
-                self.shared.unpin(gid)
-
-    def _forget(self, gid: int) -> None:
-        if self._tracker is not None:
-            self._tracker.forget(gid)
-        self._pin_claims.pop(gid, None)
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,14 @@ def parse_lines(lines: Iterable[str], validate: bool = True) -> CompiledTraceLog
     for key in ("benchmark", "duration", "footprint"):
         if key not in meta:
             raise LogFormatError(f"metadata header missing {key!r}")
+    numbers = []
+    for key, convert in (("duration", float), ("footprint", int)):
+        try:
+            numbers.append(convert(meta[key]))
+        except ValueError:
+            raise LogFormatError(
+                f"malformed metadata value {key}={meta[key]!r}"
+            ) from None
 
     columns = ([], [], [], [], [], [])
     add_op, add_time, add_trace, add_size, add_module, add_repeat = (
@@ -108,9 +116,7 @@ def parse_lines(lines: Iterable[str], validate: bool = True) -> CompiledTraceLog
             add_size(size)
             add_module(module)
             add_repeat(repeat)
-    log = pack_columns(
-        meta["benchmark"], float(meta["duration"]), int(meta["footprint"]), columns
-    )
+    log = pack_columns(meta["benchmark"], *numbers, columns)
     if validate:
         log.validate()
     return log

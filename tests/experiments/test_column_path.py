@@ -128,6 +128,16 @@ def test_replay_job_rejects_a_bad_text_log(tmp_path, body, error):
         _replay(log_path=str(path))
 
 
+def test_replay_job_rejects_a_malformed_header_value(tmp_path):
+    path = tmp_path / "bad.log"
+    path.write_text(
+        _HEADER.replace("duration=1.0", "duration=abc") + "E 1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(LogFormatError, match="duration='abc'"):
+        _replay(log_path=str(path))
+
+
 def _truncated(blob: bytes) -> bytes:
     return blob[:-3]
 

@@ -135,6 +135,17 @@ class TestForcedEvictionsAndHoles:
         assert cache.arena.placement_of(4).start == 100
         assert result.evicted == []
 
+    def test_fill_holes_set_after_construction_uses_hole_first(self):
+        """Switching the flag on a built cache must leave the fused
+        admit, which never fills holes."""
+        cache = PseudoCircularCache(400)
+        fill_sequential(cache, 4)
+        cache.remove(1)
+        cache.fill_holes = True
+        result = cache.insert(4, 100, 0)
+        assert cache.arena.placement_of(4).start == 100
+        assert result.evicted == []
+
     def test_remove_module_removes_only_that_module(self):
         cache = PseudoCircularCache(400)
         cache.insert(0, 100, module_id=0)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -175,10 +177,50 @@ class TestSharedPersistentGroup:
         # Process 0 is gone, and so is its pin claim.
         assert not group.shared.trace(7).pinned
 
+    def test_pinned_graduate_claim_goes_to_its_process(self):
+        # No public call graduates a pinned trace (a pinned probation
+        # hit stays put, and pinned traces are never displaced), so
+        # drive the process's cascade directly.
+        group = _shared_group()
+        for gid in (7, 8, 9):
+            group.insert(0, gid, 100, module_id=0, time=gid)
+        group.pin(0, 7)
+        manager = group._managers[0]
+        trace = manager.probation.get(7)
+        manager._promote(trace, manager.probation, manager.persistent, 10, [])
+        assert group.shared.trace(7).pinned
+        group.unpin(1, 7)  # process 1 holds no claim
+        assert group.shared.trace(7).pinned
+        group.unpin(0, 7)
+        assert not group.shared.trace(7).pinned
+
     def test_pin_miss_returns_false(self):
         group = _shared_group()
         assert not group.pin(0, 99)
         assert not group.unpin(0, 99)
+
+
+class TestGroupsFreedByReferenceCounting:
+    """A replay builds one group per policy; one caught in a reference
+    cycle would stay alive until a collector pass."""
+
+    @pytest.mark.parametrize(
+        "variant", ["private", "shared-persistent", "shared-persistent-temp"]
+    )
+    def test_used_group_dies_with_its_last_reference(self, variant):
+        group = make_group(CAPS, CONFIG, sharing_config_for(variant))
+        _graduate(group, process=0, gid=7, time=10)
+        group.insert(1, 7, 100, module_id=0, time=50)
+        group.pin(1, 7)
+        group.unmap_module(0, module_id=0, time=60)
+        entries = [group.hit_entries(p) for p in range(group.n_processes)]
+        ref = weakref.ref(group)
+        gc.disable()
+        try:
+            del group, entries
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTemperaturePromotion:
@@ -197,6 +239,19 @@ class TestTemperaturePromotion:
         group.on_hit(0, 7, 11, 1, module_id=0)
         assert group.lookup(0, 7) == "probation"
         group.on_hit(0, 7, 12, 1, module_id=0)
+        assert group.lookup(0, 7) == SHARED_PERSISTENT
+
+    def test_hot_probation_victim_graduates_on_eviction(self):
+        group = _shared_group(temperature=True, temperature_half_life=1_000_000)
+        group.insert(0, 7, 100, module_id=0, time=1)
+        # Nursery hits warm the trace past the threshold (2.0).
+        group.on_hit(0, 7, 2, 3, module_id=0)
+        # Six more traces push it through the nursery and then out of
+        # the 400-byte probation cache without a probation hit.
+        effects = []
+        for gid in range(8, 14):
+            effects += group.insert(0, gid, 100, module_id=0, time=gid).effects
+        assert Promoted(7, 100, "probation", SHARED_PERSISTENT) in effects
         assert group.lookup(0, 7) == SHARED_PERSISTENT
 
     def test_failed_on_hit_leaves_the_tracker_cold(self):

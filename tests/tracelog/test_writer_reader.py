@@ -82,6 +82,17 @@ class TestErrors:
         with pytest.raises(LogFormatError):
             parse_lines(["# repro-tracelog v1", "# benchmark=x duration=1"])
 
+    @pytest.mark.parametrize(
+        "header, named",
+        [
+            ("duration=abc footprint=1", "duration='abc'"),
+            ("duration=1 footprint=1.5", "footprint='1.5'"),
+        ],
+    )
+    def test_malformed_metadata_value(self, header, named):
+        with pytest.raises(LogFormatError, match=named):
+            parse_lines(["# repro-tracelog v1", f"# benchmark=x {header}"])
+
     def test_unknown_tag(self):
         with pytest.raises(LogFormatError):
             parse_lines(
