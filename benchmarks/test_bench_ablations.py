@@ -11,7 +11,7 @@ buys, on one representative workload:
 from __future__ import annotations
 
 import pytest
-from conftest import run_once
+from bench_common import run_once
 
 from repro.cachesim.simulator import simulate_log
 from repro.core.config import GenerationalConfig, PromotionMode

@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import RESULTS_DIR, run_once
+from bench_common import RESULTS_DIR, run_once
 
 from repro.cachesim.simulator import CacheSimulator
 from repro.core.config import FIGURE9_CONFIGS

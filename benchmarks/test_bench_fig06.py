@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import CHARACTERIZATION_SCALE, run_once
+from bench_common import CHARACTERIZATION_SCALE, run_once
 
 from repro.experiments import fig06_lifetimes
 from repro.experiments.dataset import WorkloadDataset

@@ -8,7 +8,7 @@ figures, exactly as in :mod:`repro.experiments.runner`.
 from __future__ import annotations
 
 import pytest
-from conftest import EVALUATION_SCALE, EVALUATION_SUBSET, run_once
+from bench_common import EVALUATION_SCALE, EVALUATION_SUBSET, run_once
 
 from repro.core.config import BEST_CONFIG, FIGURE9_CONFIGS
 from repro.experiments import fig09_miss_rates, fig10_misses_eliminated, fig11_overhead

@@ -37,7 +37,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from conftest import RESULTS_DIR, process_workloads, run_once
+from bench_common import RESULTS_DIR, process_workloads, run_once
 
 from repro.core.config import GenerationalConfig
 from repro.experiments.evaluation import baseline_capacity

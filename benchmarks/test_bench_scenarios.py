@@ -18,7 +18,7 @@ import json
 import os
 import time
 
-from conftest import RESULTS_DIR, run_once
+from bench_common import RESULTS_DIR, run_once
 
 from repro.fastpath import artifacts
 from repro.scenarios.targets import SCENARIO_TOTALS, measure_profile

@@ -8,7 +8,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import process_workloads, run_once
+from bench_common import process_workloads, run_once
 
 from repro.experiments import shared as shared_experiment
 from repro.experiments.dataset import quick_subset

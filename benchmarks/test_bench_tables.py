@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import run_once
+from bench_common import run_once
 
 from repro.experiments import table01_benchmarks, table02_overheads
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import run_once
+from bench_common import run_once
 
 from repro.tracelog.binary import (
     CHUNK_BYTES,

@@ -1,22 +1,24 @@
-"""The reference-counted shared persistent cache.
+"""Reference counting of shared trace copies, and the shared persistent
+cache.
+
+Once processes share code, two of the paper's rules become reference
+counts, as in ShareJIT: forced deletion of unmapped modules (Section
+3.4) and undeletable, pinned traces (Section 4.2).  One
+:class:`Sharers` table keeps both for every shared copy, in both shared
+cache groups: which processes map the copy, and from which of their
+modules (the copy dies only when *every* sharer has unmapped it;
+evicting earlier would invalidate code another process still maps),
+and which processes pin it (it stays pinned while any claim remains,
+and the claims die with it).
 
 One :class:`SharedPersistentCache` wraps a single
 :class:`~repro.policies.base.CodeCache` arena holding one physical copy
 per distinct trace content (gids from the
-:class:`~repro.shared.identity.TraceInterner`).  Around it the class
-keeps the cross-process bookkeeping the paper's single-process
-persistent cache never needed:
-
-* **Attachments** — which processes map each trace, and from which of
-  their modules.  Attaching is how a process starts executing a copy
-  another process compiled (ShareJIT's dedup win).
-* **Unmap invalidation** — ``detach_module`` drops one process's claim;
-  the physical copy is evicted only when *every* sharing process has
-  unmapped the trace's module.  Evicting earlier would invalidate code
-  another process is still mapped to.
-* **Reuse accounting** — how often, and for how many bytes, a process
-  attached to a copy another process compiled.  Who hits the shared
-  copies is each process's own ``hits_by_cache[SHARED_PERSISTENT]``.
+:class:`~repro.shared.identity.TraceInterner`), with its ``Sharers``
+and its reuse accounting: how often, and for how many bytes, a process
+attached to a copy another process compiled (ShareJIT's dedup win).
+Who hits the shared copies is each process's own
+``hits_by_cache[SHARED_PERSISTENT]``.
 
 Mutating the wrapped arena directly from outside :mod:`repro.shared`
 is a layering violation (enforced by the ``shared-cache-api`` cachelint
@@ -32,13 +34,142 @@ from repro.policies.base import CachedTrace, CodeCache
 SHARED_PERSISTENT = "shared-persistent"
 
 
+class Sharers:
+    """Who maps and who pins each resident shared copy."""
+
+    def __init__(self) -> None:
+        #: gid -> {module id -> bitmask of the processes that map the
+        #: copy from that module}.  A process appears in at most one
+        #: module's mask per gid (the latest mapping wins).  Bitmasks
+        #: keep this O(gids x modules) rather than O(gids x processes):
+        #: the difference between kilobytes and megabytes for fleets of
+        #: many processes replaying a handful of distinct binaries.
+        self.holders: dict[int, dict[int, int]] = {}
+        #: gid -> processes holding a pin claim on the copy.
+        self.pin_claims: dict[int, set[int]] = {}
+
+    def place(self, gid: int, process: int, module_id: int) -> None:
+        """*process* placed the first copy of *gid*, from *module_id*."""
+        self.holders[gid] = {module_id: 1 << process}
+
+    def attach(self, gid: int, process: int, module_id: int) -> bool:
+        """Record that *process* maps *gid* from *module_id*; a remap
+        moves the process to the new module's mask.  Returns True when
+        the process mapped no module of the copy before."""
+        holders = self.holders.setdefault(gid, {})
+        bit = 1 << process
+        mask = holders.get(module_id, 0)
+        if mask & bit:
+            return False
+        first = True
+        for other, other_mask in holders.items():
+            if other_mask & bit:
+                other_mask &= ~bit
+                if other_mask:
+                    holders[other] = other_mask
+                else:
+                    del holders[other]
+                first = False
+                break
+        holders[module_id] = mask | bit
+        return first
+
+    def detach_module(
+        self, process: int, module_id: int
+    ) -> tuple[list[int], list[int]]:
+        """Drop *process*'s mappings from *module_id*.
+
+        Returns:
+            ``(gone, detached)``, both in table order: the gids no
+            process maps any more, and every gid the process stopped
+            mapping (including those other sharers keep alive).
+        """
+        bit = 1 << process
+        detached = [
+            gid
+            for gid, holders in self.holders.items()
+            if holders.get(module_id, 0) & bit
+        ]
+        gone: list[int] = []
+        for gid in detached:
+            holders = self.holders[gid]
+            mask = holders[module_id] & ~bit
+            if mask:
+                holders[module_id] = mask
+            else:
+                del holders[module_id]
+                if not holders:
+                    del self.holders[gid]
+                    gone.append(gid)
+        return gone, detached
+
+    def claim_pin(self, gid: int, process: int) -> None:
+        self.pin_claims.setdefault(gid, set()).add(process)
+
+    def release_pin(self, gid: int, process: int) -> bool:
+        """Drop *process*'s pin claim; True when the last claim went."""
+        claims = self.pin_claims.get(gid)
+        if claims is None:
+            return False
+        claims.discard(process)
+        if claims:
+            return False
+        del self.pin_claims[gid]
+        return True
+
+    def forget(self, gid: int) -> None:
+        """The copy of *gid* died: drop its sharers and its claims."""
+        self.holders.pop(gid, None)
+        self.pin_claims.pop(gid, None)
+
+    def processes_of(self, gid: int) -> tuple[int, ...]:
+        """Process indices currently mapping *gid* (sorted)."""
+        mask = 0
+        for module_mask in self.holders.get(gid, {}).values():
+            mask |= module_mask
+        return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
+
+    def check(self, resident: set[int], cache_name: str) -> None:
+        """The *resident* gids and the sharers must agree exactly.
+
+        Raises:
+            InvariantViolation: a resident copy has no sharers, or a
+                sharer or pin claim references a non-resident copy.
+        """
+        attached = set(self.holders)
+        if resident != attached:
+            raise InvariantViolation(
+                "shared-attachment",
+                f"residency/attachment disagree: resident-only="
+                f"{sorted(resident - attached)}, attached-only="
+                f"{sorted(attached - resident)}",
+                cache=cache_name,
+            )
+        for gid, holders in self.holders.items():
+            if not holders:
+                raise InvariantViolation(
+                    "shared-attachment",
+                    f"shared trace {gid} resident with zero sharers",
+                    cache=cache_name,
+                    trace_id=gid,
+                )
+        stale = set(self.pin_claims) - resident
+        if stale:
+            raise InvariantViolation(
+                "shared-attachment",
+                f"pin claims on non-resident copies {sorted(stale)}",
+                cache=cache_name,
+                trace_id=min(stale),
+            )
+
+
 class SharedPersistentCache:
     """A content-deduplicated persistent cache shared by N processes."""
 
     def __init__(self, cache: CodeCache) -> None:
         self._cache = cache
-        #: gid -> {process index -> module id it attached with}.
-        self._attachments: dict[int, dict[int, int]] = {}
+        #: Who maps and who pins each resident copy.
+        self.sharers = Sharers()
         #: Times attach() reused an already-resident copy.
         self.attach_reuses = 0
         #: Bytes of compilation avoided by those reuses.
@@ -70,24 +201,11 @@ class SharedPersistentCache:
 
     def processes_of(self, gid: int) -> tuple[int, ...]:
         """Process indices currently attached to *gid* (sorted)."""
-        return tuple(sorted(self._attachments.get(gid, ())))
-
-    def resident_gids(self) -> list[int]:
-        """Resident gids in arena address order."""
-        return [trace.trace_id for trace in self._cache.traces()]
+        return self.sharers.processes_of(gid)
 
     def trace(self, gid: int) -> CachedTrace:
         """The resident record for *gid* (raises if absent)."""
         return self._cache.get(gid)
-
-    def attachment_table(self) -> dict[int, dict[int, int]]:
-        """The live gid -> ``{process: module id}`` table, for the
-        group's hit handler, which attaches in place as :meth:`attach`
-        does (counting reuses the same way)."""
-        return self._attachments
-
-    def fragmentation(self) -> float:
-        return self._cache.fragmentation()
 
     # ------------------------------------------------------------------
     # Mutation (confined to repro.shared by the shared-cache-api rule)
@@ -105,13 +223,16 @@ class SharedPersistentCache:
         self, trace: CachedTrace, time: int, process: int
     ) -> list[CachedTrace]:
         """Place the detached record *trace* (a graduate moves its own,
-        pin included) as the first copy of its gid, attached by
-        *process* from its module; returns the victims the placement
-        evicted (their attachments are already cleared)."""
+        pin included, and *process* then holds the pin claim) as the
+        first copy of its gid, attached by *process* from its module;
+        returns the victims the placement evicted (their sharers and
+        claims are already dropped)."""
         evicted = self._cache.admit(trace, time)
-        self._attachments[trace.trace_id] = {process: trace.module_id}
+        self.sharers.place(trace.trace_id, process, trace.module_id)
+        if trace.pinned:
+            self.sharers.claim_pin(trace.trace_id, process)
         for victim in evicted:
-            self._attachments.pop(victim.trace_id, None)
+            self.sharers.forget(victim.trace_id)
         return evicted
 
     def attach(self, gid: int, process: int, module_id: int) -> None:
@@ -125,11 +246,9 @@ class SharedPersistentCache:
             raise UnknownTraceError(
                 f"cannot attach to non-resident shared trace {gid}"
             )
-        holders = self._attachments.setdefault(gid, {})
-        if process not in holders:
+        if self.sharers.attach(gid, process, module_id):
             self.attach_reuses += 1
             self.reused_bytes += self._cache.get(gid).size
-        holders[process] = module_id
 
     def touch(self, gid: int, time: int, count: int) -> CachedTrace:
         """Record *count* hits on the shared copy."""
@@ -149,25 +268,12 @@ class SharedPersistentCache:
             the gids whose claim was dropped (including those that left
             the copy resident for other sharers).
         """
-        evicted: list[CachedTrace] = []
-        detached: list[int] = []
-        for gid in [
-            gid
-            for gid, holders in self._attachments.items()
-            if holders.get(process) == module_id
-        ]:
-            holders = self._attachments[gid]
-            del holders[process]
-            detached.append(gid)
-            if not holders:
-                del self._attachments[gid]
-                evicted.append(self._cache.remove(gid))
+        gone, detached = self.sharers.detach_module(process, module_id)
+        evicted = []
+        for gid in gone:
+            self.sharers.forget(gid)
+            evicted.append(self._cache.remove(gid))
         return evicted, detached
-
-    def evict(self, gid: int) -> CachedTrace:
-        """Capacity-evict the copy of *gid*, clearing all attachments."""
-        self._attachments.pop(gid, None)
-        return self._cache.remove(gid)
 
     def pin(self, gid: int) -> None:
         self._cache.pin(gid)
@@ -180,28 +286,11 @@ class SharedPersistentCache:
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Residency and attachments must agree exactly.
+        """Residency and sharers must agree exactly.
 
         Raises:
-            InvariantViolation: a resident copy has no sharers, or an
-                attachment references a non-resident copy.
+            InvariantViolation: a resident copy has no sharers, or a
+                sharer or pin claim references a non-resident copy.
         """
         self._cache.check_invariants()
-        resident = set(self._cache.arena.trace_ids())
-        attached = set(self._attachments)
-        if resident != attached:
-            raise InvariantViolation(
-                "shared-attachment",
-                f"residency/attachment disagree: resident-only="
-                f"{sorted(resident - attached)}, attached-only="
-                f"{sorted(attached - resident)}",
-                cache=self.name,
-            )
-        for gid, holders in self._attachments.items():
-            if not holders:
-                raise InvariantViolation(
-                    "shared-attachment",
-                    f"shared trace {gid} resident with zero sharers",
-                    cache=self.name,
-                    trace_id=gid,
-                )
+        self.sharers.check(set(self._cache.arena.trace_ids()), self.name)

@@ -36,11 +36,11 @@ from typing import Callable, Iterable, Sequence
 
 from repro.core.config import GenerationalConfig
 from repro.core.effects import AccessOutcome, Effect, Evicted, EvictionReason
-from repro.core.generational import NURSERY, PROBATION, GenerationalCacheManager
+from repro.core.generational import NURSERY, GenerationalCacheManager
 from repro.core.manager import make_cache
 from repro.errors import ConfigError, InvariantViolation
 from repro.policies.base import CachedTrace, CodeCache
-from repro.shared.cache import SHARED_PERSISTENT, SharedPersistentCache
+from repro.shared.cache import SHARED_PERSISTENT, Sharers, SharedPersistentCache
 from repro.shared.policy import SharingConfig, SharingPolicy, TemperatureTracker
 
 
@@ -71,58 +71,52 @@ HitHandler = Callable[[int, int, int, int, int], Sequence[Effect]]
 HitEntry = tuple[str, bool, HitHandler | None, CodeCache]
 
 
-def _manager_entries(manager: GenerationalCacheManager) -> dict[str, HitEntry]:
-    """*manager*'s caches as process-local hit entries, resolved the
-    way the batched loop resolves them (``plain_hit_caches`` and
-    ``hit_handler``)."""
+def _manager_entries(
+    manager: GenerationalCacheManager,
+    caches: Iterable[CodeCache],
+    tracker: TemperatureTracker | None = None,
+    sharers: Sharers | None = None,
+) -> dict[str, HitEntry]:
+    """*manager*'s *caches* as hit entries, resolved the way the batched
+    loop resolves them (``plain_hit_caches`` and ``hit_handler``).  The
+    caches are shared when *sharers* keeps their copies.  With a
+    *tracker* or *sharers* every hit does more than touch the record,
+    so no cache is plain."""
     plain = manager.plain_hit_caches()
+    shared = sharers is not None
     entries: dict[str, HitEntry] = {}
-    for cache in manager.caches():
-        handler = None
-        if cache.name not in plain:
-            handler = _local_handler(manager.hit_handler(cache.name))
-        entries[cache.name] = (cache.name, False, handler, cache)
+    for cache in caches:
+        handler = None if cache.name in plain else manager.hit_handler(cache.name)
+        if handler is not None or tracker is not None or shared:
+            attach = None if sharers is None else sharers.attach
+            handler = _hit_handler(cache, handler, tracker, sharers, attach)
+        entries[cache.name] = (cache.name, shared, handler, cache)
     return entries
 
 
-def _local_handler(
-    handler: Callable[[int, int, int], Sequence[Effect]],
-    tracker: TemperatureTracker | None = None,
-) -> HitHandler:
-    """Adapt a manager's ``(trace_id, time, count)`` hit handler to
-    :data:`HitHandler`, observing *tracker*'s temperature first if
-    given."""
-    if tracker is None:
-
-        def local_hit(process, gid, time, count, module_id):
-            return handler(gid, time, count)
-
-        return local_hit
-    observe = tracker.observe
-
-    def observed_hit(process, gid, time, count, module_id):
-        observe(gid, time, count)
-        return handler(gid, time, count)
-
-    return observed_hit
-
-
-def _touching_handler(
+def _hit_handler(
     cache: CodeCache,
-    tracker: TemperatureTracker | None,
-    shared: SharedPersistentCache | None = None,
+    handler: Callable[[int, int, int], Sequence[Effect]] | None,
+    tracker: TemperatureTracker | None = None,
+    sharers: Sharers | None = None,
+    attach: Callable[[int, int, int], object] | None = None,
 ) -> HitHandler:
-    """The hit handler of a *cache* whose hits emit no effects, as one
-    call: observe *tracker*'s temperature (if given), touch the
-    record, and, for the *shared* persistent cache's arena, attach the
-    process to the copy."""
+    """*cache*'s :data:`HitHandler`, as one call: observe *tracker*'s
+    temperature (if given); apply the hits, touching the record in
+    place when *handler* is None, otherwise through the manager's
+    ``(trace_id, time, count)`` *handler*; and for a shared cache,
+    *attach* the process when its bit is not set in *sharers* yet, then
+    forget every trace the hits evicted.  The closure binds no group,
+    so a group is freed by reference counting alone."""
+    if handler is None and not cache.plain_touch:
+        handler = cache.record_hits
     traces = cache.trace_table()
-    touch = None if cache.plain_touch else cache.touch_resident
     state = None if tracker is None else tracker.state_table()
     half_life = None if tracker is None else tracker.half_life
-    attachments = None if shared is None else shared.attachment_table()
+    holders = None if sharers is None else sharers.holders
+    forget = None if sharers is None else sharers.forget
 
-    def touching_hit(process, gid, time, count, module_id):
+    def hit(process, gid, time, count, module_id):
         if state is not None:
             # TemperatureTracker.observe, with its float expressions.
             seen = state.get(gid)
@@ -134,22 +128,30 @@ def _touching_handler(
                     value = value * 0.5 ** ((time - last) / half_life)
             value += count
             state[gid] = (value, time)
-        if touch is None:
+        if handler is None:
             trace = traces[gid]
             trace.access_count += count
             trace.last_access = time
+            effects = ()
         else:
-            trace = touch(gid, time, count)
-        if attachments is not None:
-            # SharedPersistentCache.attach, for a resident copy.
-            holders = attachments[gid]
-            if process not in holders:
-                shared.attach_reuses += 1
-                shared.reused_bytes += trace.size
-            holders[process] = module_id
-        return ()
+            effects = handler(gid, time, count)
+        if holders is not None:
+            if not holders[gid].get(module_id, 0) >> process & 1:
+                attach(gid, process, module_id)
+            if effects:
+                _forget_evicted(forget, effects)
+        return effects
 
-    return touching_hit
+    return hit
+
+
+def _forget_evicted(
+    forget: Callable[[int], None], effects: Iterable[Effect]
+) -> None:
+    """Drop the sharers and claims of every copy *effects* evicted."""
+    for effect in effects:
+        if isinstance(effect, Evicted):
+            forget(effect.trace_id)
 
 
 class SharedCacheGroup(abc.ABC):
@@ -350,7 +352,8 @@ class PrivateCacheGroup(_PerProcessGroup):
         return self._managers[process].on_hit(gid, time, count)
 
     def hit_entries(self, process: int) -> dict[str, HitEntry]:
-        return _manager_entries(self._managers[process])
+        manager = self._managers[process]
+        return _manager_entries(manager, manager.caches())
 
     def check_invariants(self) -> None:
         for manager in self._managers:
@@ -371,12 +374,11 @@ class _SharedTier:
     in the place of its manager's persistent cache.
 
     :meth:`admit` attaches the process to an identical copy another
-    process already shared, or places the first copy; a pinned
-    graduate's pin claim goes to the process.  :meth:`remove_module`,
-    :meth:`pin` and :meth:`unpin` keep the attachments and pin claims,
-    and every copy that leaves the shared cache drops its temperature
-    and pin claims.  The view holds the shared cache and the group's
-    pin-claim table and tracker, never the group itself, so a group is
+    process already shared, or places the first copy.
+    :meth:`remove_module`, :meth:`pin` and :meth:`unpin` keep the shared
+    cache's :class:`~repro.shared.cache.Sharers`, and every copy that
+    leaves the shared cache drops its temperature.  The view holds the
+    shared cache and the tracker, never the group itself, so a group is
     freed by reference counting alone.
     """
 
@@ -387,14 +389,12 @@ class _SharedTier:
         self,
         shared: SharedPersistentCache,
         process: int,
-        pin_claims: dict[int, set[int]],
         tracker: TemperatureTracker | None,
     ) -> None:
         self.name = SHARED_PERSISTENT
         self.capacity = shared.capacity
         self._shared = shared
         self._process = process
-        self._pin_claims = pin_claims
         self._tracker = tracker
 
     def __contains__(self, gid: int) -> bool:
@@ -412,10 +412,6 @@ class _SharedTier:
             self._shared.attach(gid, self._process, trace.module_id)
             return []
         victims = self._shared.admit(trace, time, self._process)
-        if trace.pinned:
-            # The pin moved with the record; the graduating process
-            # holds its claim.
-            self._pin_claims.setdefault(gid, set()).add(self._process)
         for victim in victims:
             self._forget(victim.trace_id)
         return victims
@@ -431,24 +427,17 @@ class _SharedTier:
         return evicted
 
     def pin(self, gid: int) -> None:
-        self._pin_claims.setdefault(gid, set()).add(self._process)
+        self._shared.sharers.claim_pin(gid, self._process)
         self._shared.pin(gid)
 
     def unpin(self, gid: int) -> None:
         """Drop the process's pin claim; the last claim unpins."""
-        claims = self._pin_claims.get(gid)
-        if claims is None:
-            return
-        claims.discard(self._process)
-        if not claims:
-            del self._pin_claims[gid]
-            if self._shared.contains(gid):
-                self._shared.unpin(gid)
+        if self._shared.sharers.release_pin(gid, self._process):
+            self._shared.unpin(gid)
 
     def _forget(self, gid: int) -> None:
         if self._tracker is not None:
             self._tracker.forget(gid)
-        self._pin_claims.pop(gid, None)
 
 
 class _ProcessManager(GenerationalCacheManager):
@@ -515,22 +504,20 @@ class SharedPersistentGroup(_PerProcessGroup):
             if sharing.temperature
             else None
         )
-        #: Pin claims on shared copies: gid -> claiming processes.
-        self._pin_claims: dict[int, set[int]] = {}
         self._managers = [
             _ProcessManager(
-                cap,
-                config,
-                _SharedTier(self.shared, process, self._pin_claims, tracker),
-                tracker,
+                cap, config, _SharedTier(self.shared, process, tracker), tracker
             )
             for process, cap in enumerate(self.capacities)
         ]
+        cache = self.shared._cache
         self._shared_entry: HitEntry = (
             SHARED_PERSISTENT,
             True,
-            _touching_handler(self.shared._cache, tracker, self.shared),
-            self.shared._cache,
+            _hit_handler(
+                cache, None, tracker, self.shared.sharers, self.shared.attach
+            ),
+            cache,
         )
         self.name = (
             f"group[{sharing.label()} x{self.n_processes}, {config.label()}]"
@@ -558,29 +545,11 @@ class SharedPersistentGroup(_PerProcessGroup):
 
     def hit_entries(self, process: int) -> dict[str, HitEntry]:
         manager = self._managers[process]
-        tracker = self._tracker
-        nursery = manager.nursery
-        probation = manager.probation
-        # With a tracker every hit observes the temperature, so no
-        # cache is plain.
-        plain = manager.plain_hit_caches() if tracker is None else ()
-        return {
-            NURSERY: (
-                NURSERY,
-                False,
-                None if NURSERY in plain else _touching_handler(nursery, tracker),
-                nursery,
-            ),
-            PROBATION: (
-                PROBATION,
-                False,
-                None
-                if PROBATION in plain
-                else _local_handler(manager.hit_handler(PROBATION), tracker),
-                probation,
-            ),
-            SHARED_PERSISTENT: self._shared_entry,
-        }
+        entries = _manager_entries(
+            manager, (manager.nursery, manager.probation), self._tracker
+        )
+        entries[SHARED_PERSISTENT] = self._shared_entry
+        return entries
 
     def insert(
         self, process: int, gid: int, size: int, module_id: int, time: int
@@ -629,8 +598,9 @@ class SharedAllGroup(SharedCacheGroup):
 
     Maximum dedup (a trace exists at most once anywhere) and maximum
     interference (everyone churns everyone's nursery).  Group-level
-    reference counting preserves the unmap contract: a trace dies on
-    unmap only when no process still maps its module.
+    reference counting (one :class:`~repro.shared.cache.Sharers`)
+    preserves the unmap contract: a trace dies on unmap only when no
+    process still maps its module.
     """
 
     def __init__(
@@ -640,33 +610,13 @@ class SharedAllGroup(SharedCacheGroup):
         sharing: SharingConfig,
     ) -> None:
         super().__init__(capacities, config, sharing)
-        self._manager = GenerationalCacheManager(sum(capacities), config)
-        #: gid -> {module id -> bitmask of processes mapping it from
-        #: that module}.  A process appears in at most one module's
-        #: mask per gid (latest mapping wins).  Bitmasks keep this
-        #: O(gids x modules) rather than O(gids x processes) — the
-        #: difference between kilobytes and megabytes for 1000-process
-        #: fleets replaying a handful of distinct binaries.
-        self._attachments: dict[int, dict[int, int]] = {}
-        self._pin_claims: dict[int, set[int]] = {}
-        # Every cache is shared and every hit must keep the attachment
-        # masks current, so no cache is plain and one entry table
-        # serves all processes.
-        plain = self._manager.plain_hit_caches()
-        self._entries: dict[str, HitEntry] = {
-            cache.name: (
-                cache.name,
-                True,
-                self._attaching_handler(
-                    cache,
-                    None
-                    if cache.name in plain
-                    else self._manager.hit_handler(cache.name),
-                ),
-                cache,
-            )
-            for cache in self._manager.caches()
-        }
+        manager = self._manager = GenerationalCacheManager(sum(capacities), config)
+        self._sharers = Sharers()
+        # Every cache is shared and every hit must keep the sharers
+        # current, so one entry table serves all processes.
+        self._entries = _manager_entries(
+            manager, manager.caches(), sharers=self._sharers
+        )
         self.name = f"group[shared-all x{self.n_processes}, {config.label()}]"
 
     def lookup(self, process: int, gid: int) -> str | None:
@@ -676,8 +626,8 @@ class SharedAllGroup(SharedCacheGroup):
         self, process: int, gid: int, time: int, count: int, module_id: int
     ) -> AccessOutcome:
         outcome = self._manager.on_hit(gid, time, count)
-        self._attach(gid, process, module_id)
-        self._sync_attachments(outcome.effects)
+        self._sharers.attach(gid, process, module_id)
+        _forget_evicted(self._sharers.forget, outcome.effects)
         return outcome
 
     def hit_entries(self, process: int) -> dict[str, HitEntry]:
@@ -687,35 +637,25 @@ class SharedAllGroup(SharedCacheGroup):
         self, process: int, gid: int, size: int, module_id: int, time: int
     ) -> InsertOutcome:
         if self._manager.lookup(gid) is not None:
-            self._attach(gid, process, module_id)
+            self._sharers.attach(gid, process, module_id)
             return InsertOutcome(effects=[], deduped=True)
         effects = self._manager.insert(gid, size, module_id, time)
         if self._manager.lookup(gid) is not None:
-            self._attachments[gid] = {module_id: 1 << process}
-        self._sync_attachments(effects)
+            self._sharers.place(gid, process, module_id)
+        _forget_evicted(self._sharers.forget, effects)
         return InsertOutcome(effects=effects, deduped=False)
 
     def unmap_module(
         self, process: int, module_id: int, time: int
     ) -> list[Effect]:
+        sharers = self._sharers
+        gone, detached = sharers.detach_module(process, module_id)
+        for gid in detached:
+            if sharers.release_pin(gid, process):
+                self._manager.unpin(gid)
         effects: list[Effect] = []
-        bit = 1 << process
-        mine = [
-            gid
-            for gid, holders in self._attachments.items()
-            if holders.get(module_id, 0) & bit
-        ]
-        for gid in mine:
-            holders = self._attachments[gid]
-            mask = holders[module_id] & ~bit
-            if mask:
-                holders[module_id] = mask
-            else:
-                del holders[module_id]
-            self._drop_pin_claim(process, gid)
-            if holders:
-                continue  # other processes still map this code
-            del self._attachments[gid]
+        for gid in gone:
+            sharers.forget(gid)
             for cache in self._manager.caches():
                 if gid in cache:
                     trace = cache.remove(gid)
@@ -733,13 +673,14 @@ class SharedAllGroup(SharedCacheGroup):
     def pin(self, process: int, gid: int) -> bool:
         if not self._manager.pin(gid):
             return False
-        self._pin_claims.setdefault(gid, set()).add(process)
+        self._sharers.claim_pin(gid, process)
         return True
 
     def unpin(self, process: int, gid: int) -> bool:
         if self._manager.lookup(gid) is None:
             return False
-        self._drop_pin_claim(process, gid)
+        if self._sharers.release_pin(gid, process):
+            self._manager.unpin(gid)
         return True
 
     def check_invariants(self) -> None:
@@ -747,77 +688,7 @@ class SharedAllGroup(SharedCacheGroup):
         resident: set[int] = set()
         for cache in self._manager.caches():
             resident |= set(cache.arena.trace_ids())
-        attached = set(self._attachments)
-        if resident != attached:
-            raise InvariantViolation(
-                "shared-attachment",
-                f"residency/attachment disagree: resident-only="
-                f"{sorted(resident - attached)}, attached-only="
-                f"{sorted(attached - resident)}",
-                cache=self._manager.name,
-            )
+        self._sharers.check(resident, self._manager.name)
 
     def _iter_caches(self) -> Iterable[CodeCache]:
         yield from self._manager.caches()
-
-    def _attaching_handler(
-        self,
-        cache: CodeCache,
-        handler: Callable[[int, int, int], Sequence[Effect]] | None,
-    ) -> HitHandler:
-        """*cache*'s hit handler: apply the hits — in place when
-        *handler* is None (a plain cache), else through the manager's
-        *handler* — then attach the process if its bit is not set yet
-        and drop the bookkeeping of any trace the hits evicted."""
-        traces = cache.trace_table()
-        attachments = self._attachments
-        attach = self._attach
-        sync = self._sync_attachments
-
-        def attaching_hit(process, gid, time, count, module_id):
-            if handler is None:
-                trace = traces[gid]
-                trace.access_count += count
-                trace.last_access = time
-                effects = ()
-            else:
-                effects = handler(gid, time, count)
-            if not attachments[gid].get(module_id, 0) >> process & 1:
-                attach(gid, process, module_id)
-            if effects:
-                sync(effects)
-            return effects
-
-        return attaching_hit
-
-    def _attach(self, gid: int, process: int, module_id: int) -> None:
-        """Record that *process* maps *gid* via *module_id* (latest
-        mapping wins, as a remap moves the process between masks)."""
-        holders = self._attachments.setdefault(gid, {})
-        bit = 1 << process
-        mask = holders.get(module_id, 0)
-        if not mask & bit:
-            for other, other_mask in holders.items():
-                if other_mask & bit:
-                    other_mask &= ~bit
-                    if other_mask:
-                        holders[other] = other_mask
-                    else:
-                        del holders[other]
-                    break
-        holders[module_id] = mask | bit
-
-    def _sync_attachments(self, effects: list[Effect]) -> None:
-        for effect in effects:
-            if isinstance(effect, Evicted):
-                self._attachments.pop(effect.trace_id, None)
-                self._pin_claims.pop(effect.trace_id, None)
-
-    def _drop_pin_claim(self, process: int, gid: int) -> None:
-        claims = self._pin_claims.get(gid)
-        if claims is None:
-            return
-        claims.discard(process)
-        if not claims:
-            del self._pin_claims[gid]
-            self._manager.unpin(gid)

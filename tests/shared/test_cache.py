@@ -71,15 +71,26 @@ class TestDetach:
         assert shared.detach_module(process=0, module_id=99) == ([], [])
 
 
-class TestAccounting:
-    def test_capacity_eviction_clears_attachments(self, shared):
-        shared.insert(0, 100, time=1, process=0, module_id=7)
-        shared.attach(0, process=1, module_id=7)
-        shared.evict(0)
+class TestRemap:
+    """A process that re-attaches from another module moves there: the
+    latest mapping wins, and only that module's unmap drops it."""
+
+    @pytest.mark.parametrize("process", [0, 70])
+    def test_remap_moves_the_process(self, shared, process):
+        shared.insert(0, 100, time=1, process=process, module_id=7)
+        shared.attach(0, process=process, module_id=9)
+        assert shared.attach_reuses == 0 and shared.reused_bytes == 0
+        assert shared.processes_of(0) == (process,)
+
+        assert shared.detach_module(process=process, module_id=7) == ([], [])
+        assert shared.contains(0)
+        evicted, detached = shared.detach_module(process=process, module_id=9)
+        assert [t.trace_id for t in evicted] == [0] and detached == [0]
         assert not shared.contains(0)
-        assert shared.processes_of(0) == ()
         shared.check_invariants()
 
+
+class TestAccounting:
     def test_placement_victims_lose_their_attachments(self):
         shared = SharedPersistentCache(
             PseudoCircularCache(250, name=SHARED_PERSISTENT)
@@ -102,6 +113,12 @@ class TestInvariants:
 
     def test_zero_sharer_residency_detected(self, shared):
         shared.insert(0, 100, time=1, process=0, module_id=7)
-        shared._attachments[0] = {}
+        shared.sharers.holders[0] = {}
         with pytest.raises(InvariantViolation, match="zero sharers"):
+            shared.check_invariants()
+
+    def test_claim_outliving_its_copy_detected(self, shared):
+        shared.insert(0, 100, time=1, process=0, module_id=7)
+        shared.sharers.claim_pin(5, process=1)  # corrupt: no copy of 5
+        with pytest.raises(InvariantViolation, match="pin claims"):
             shared.check_invariants()

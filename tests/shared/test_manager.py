@@ -53,13 +53,16 @@ def _shared_group(**sharing_kwargs) -> SharedPersistentGroup:
 
 
 def _graduate(group, process: int, gid: int, time: int) -> list:
-    """Drive *gid* from nursery to the shared persistent cache: fill
+    """Drive *gid* from nursery to the (shared) persistent cache: fill
     the nursery behind it, then hit it in probation (threshold 1)."""
     group.insert(process, gid, 100, module_id=0, time=time)
-    group.insert(process, gid + 1000, 100, module_id=0, time=time + 1)
-    effects = group.insert(process, gid + 1001, 100, module_id=0, time=time + 2)
-    assert group.lookup(process, gid) == "probation", effects
-    outcome = group.on_hit(process, gid, time + 3, 1, module_id=0)
+    filler = gid + 1000
+    while group.lookup(process, gid) == "nursery":
+        time += 1
+        group.insert(process, filler, 100, module_id=0, time=time)
+        filler += 1
+    assert group.lookup(process, gid) == "probation"
+    outcome = group.on_hit(process, gid, time + 1, 1, module_id=0)
     return outcome.effects
 
 
@@ -205,7 +208,8 @@ class TestGroupsFreedByReferenceCounting:
     cycle would stay alive until a collector pass."""
 
     @pytest.mark.parametrize(
-        "variant", ["private", "shared-persistent", "shared-persistent-temp"]
+        "variant",
+        ["private", "shared-persistent", "shared-persistent-temp", "shared-all"],
     )
     def test_used_group_dies_with_its_last_reference(self, variant):
         group = make_group(CAPS, CONFIG, sharing_config_for(variant))
@@ -221,6 +225,23 @@ class TestGroupsFreedByReferenceCounting:
             assert ref() is None
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize("variant", ["shared-all", "shared-persistent"])
+def test_pin_claims_die_with_their_copy(variant):
+    """A claim from a process that pinned a copy without mapping it
+    must not outlive the copy and keep a re-created copy pinned."""
+    group = make_group(CAPS, CONFIG, sharing_config_for(variant))
+    _graduate(group, process=0, gid=7, time=10)
+    assert group.pin(1, 7)
+    group.unmap_module(0, module_id=0, time=20)  # the copy dies
+    assert group.lookup(0, 7) is None
+    _graduate(group, process=0, gid=7, time=30)
+    assert group.pin(0, 7) and group.unpin(0, 7)
+    for cache in group._iter_caches():
+        if 7 in cache:
+            assert not cache.get(7).pinned
+    group.check_invariants()
 
 
 class TestTemperaturePromotion:
@@ -342,15 +363,16 @@ def _state(group) -> tuple:
     ]
     tracker = getattr(group, "_tracker", None)
     shared = getattr(group, "shared", None)
+    sharers = getattr(group, "_sharers", None) or getattr(shared, "sharers", None)
     return (
         group.resident_copies(),
         caches,
         dict(tracker._state) if tracker is not None else None,
-        getattr(group, "_attachments", None),
-        getattr(group, "_pin_claims", None),
+        None if sharers is None else sharers.holders,
+        None if sharers is None else sharers.pin_claims,
         None
         if shared is None
-        else (shared._attachments, shared.attach_reuses, shared.reused_bytes),
+        else (shared.attach_reuses, shared.reused_bytes),
     )
 
 
