@@ -9,7 +9,10 @@ dataclasses: managers construct millions of them during a replay, and
 a frozen dataclass pays an ``object.__setattr__`` per field on every
 instantiation — switching cuts effect construction roughly 3x while
 keeping immutability, field names, equality, and ``type(effect) is
-Evicted`` dispatch intact.
+Evicted`` dispatch intact.  The managers build them with positional
+arguments, in field order: a keyword call to a NamedTuple class costs
+about 1.6 times a positional one, and the miss path builds one or more
+records per miss.
 """
 
 from __future__ import annotations

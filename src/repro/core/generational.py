@@ -158,7 +158,7 @@ class GenerationalCacheManager(CacheManager):
                 return effects  # uncacheable: no cache will ever hold it
         trace = CachedTrace(trace_id, size, module_id, time, 0, time, False)
         victims = target.admit(trace, time)
-        effects.append(Inserted(trace_id=trace_id, size=size, cache=target.name))
+        effects.append(Inserted(trace_id, size, target.name))
         if victims:
             self._cascade(target, victims, time, effects)
         return effects
@@ -187,10 +187,8 @@ class GenerationalCacheManager(CacheManager):
             else:
                 effects.append(
                     Evicted(
-                        trace_id=victim.trace_id,
-                        size=victim.size,
-                        cache=cache.name,
-                        reason=EvictionReason.CAPACITY,
+                        victim.trace_id, victim.size, cache.name,
+                        EvictionReason.CAPACITY,
                     )
                 )
 
@@ -216,22 +214,12 @@ class GenerationalCacheManager(CacheManager):
         if trace.size > dst.capacity:
             effects.append(
                 Evicted(
-                    trace_id=trace.trace_id,
-                    size=trace.size,
-                    cache=src.name,
-                    reason=EvictionReason.CAPACITY,
+                    trace.trace_id, trace.size, src.name, EvictionReason.CAPACITY
                 )
             )
             return
         victims = dst.admit(trace, time)
-        effects.append(
-            Promoted(
-                trace_id=trace.trace_id,
-                size=trace.size,
-                src=src.name,
-                dst=dst.name,
-            )
-        )
+        effects.append(Promoted(trace.trace_id, trace.size, src.name, dst.name))
         if victims:
             self._cascade(dst, victims, time, effects)
 

@@ -131,10 +131,8 @@ class CacheManager(abc.ABC):
             for trace in cache.remove_module(module_id):
                 effects.append(
                     Evicted(
-                        trace_id=trace.trace_id,
-                        size=trace.size,
-                        cache=cache.name,
-                        reason=EvictionReason.UNMAP,
+                        trace.trace_id, trace.size, cache.name,
+                        EvictionReason.UNMAP,
                     )
                 )
         return effects

@@ -70,16 +70,10 @@ class UnifiedCacheManager(CacheManager):
             if self._is_flush_cache and result.flushed
             else EvictionReason.CAPACITY
         )
+        name = self._cache.name
         effects: list[Effect] = [
-            Evicted(
-                trace_id=victim.trace_id,
-                size=victim.size,
-                cache=self._cache.name,
-                reason=reason,
-            )
+            Evicted(victim.trace_id, victim.size, name, reason)
             for victim in result.evicted
         ]
-        effects.append(
-            Inserted(trace_id=trace_id, size=size, cache=self._cache.name)
-        )
+        effects.append(Inserted(trace_id, size, name))
         return effects

@@ -4,15 +4,17 @@ The paper ran DynamoRIO with an unbounded cache and measured the final
 size: SPEC averages ~736 KB (gcc 4.3 MB, vortex 1.6 MB); interactive
 apps average ~16.1 MB, a twenty-fold increase, with word at 34.2 MB.
 
-We replay each log against an :class:`UnboundedCache` and report its
-high-water mark, plus the paper-scale value implied by the profile
-(the log is a scaled-down rendering of it).
+We report the bytes an unbounded cache allocates replaying each log,
+plus the paper-scale value implied by the profile (the log is a
+scaled-down rendering of it).  The log summary computes that number in
+its one pass (``LogStatistics.unbounded_bytes``, memoized by the
+artifact store), so no log is replayed here; an
+:class:`~repro.policies.unbounded.UnboundedCache` replay's high-water
+mark is its test oracle.
 """
 
 from __future__ import annotations
 
-from repro.cachesim.simulator import simulate_log
-from repro.core.unified import UnifiedCacheManager
 from repro.experiments.base import ExperimentResult
 from repro.experiments.dataset import WorkloadDataset
 from repro.metrics.summary import arithmetic_mean
@@ -34,11 +36,7 @@ def run(
     per_suite: dict[str, list[float]] = {"spec": [], "interactive": []}
     for name in dataset.names:
         profile = dataset.profile(name)
-        manager = UnifiedCacheManager(
-            capacity=1 << 40, local_policy="unbounded", cache_name="unbounded"
-        )
-        simulate_log(dataset.compiled(name), manager)
-        measured_kb = kib(manager.cache.high_water_mark)  # type: ignore[attr-defined]
+        measured_kb = kib(dataset.stats(name).unbounded_bytes)
         paper_kb = profile.total_trace_kb
         per_suite[profile.suite].append(paper_kb)
         result.add_row(

@@ -3,13 +3,15 @@
 Equation 2 per trace, bucketed into five 20%-wide categories; the
 static (unweighted) percentage of traces per bucket is U-shaped for
 both suites — the observation that motivates generational caches.
+The bucket counts come from the memoized log summary
+(``LogStatistics.lifetime_buckets``), so no log is rescanned here.
 """
 
 from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.dataset import WorkloadDataset
-from repro.metrics.lifetimes import BUCKET_LABELS, lifetime_histogram
+from repro.metrics.lifetimes import BUCKET_LABELS, LifetimeHistogram
 from repro.metrics.summary import arithmetic_mean
 
 
@@ -28,7 +30,7 @@ def run(
     per_suite: dict[str, list[tuple[float, ...]]] = {"spec": [], "interactive": []}
     for name in dataset.names:
         suite = dataset.profile(name).suite
-        histogram = lifetime_histogram(dataset.compiled(name))
+        histogram = LifetimeHistogram(name, dataset.stats(name).lifetime_buckets)
         per_suite[suite].append(histogram.fractions)
         result.add_row(
             Benchmark=name,

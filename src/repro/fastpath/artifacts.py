@@ -15,10 +15,12 @@ consumes:
 
 Keys are sha256 digests over a canonical JSON description of the
 request: the full profile contents (not just its name), seed, scale,
-artifact kind, container version, and a fingerprint of the synthesis
-source modules.  Editing the synthesizer, the profile tables, or the
-packed representation therefore invalidates every stale entry by
-construction — there is no mtime or TTL logic to get wrong.
+artifact kind, container version, and a fingerprint of the source
+modules the artifact kind depends on: the synthesizer, the profile
+tables and the packed representation for both kinds, plus the summary
+code for the statistics.  Editing any of them therefore invalidates
+every stale entry by construction — there is no mtime or TTL logic to
+get wrong.
 
 Entries are written atomically (temp file + ``os.replace``) and carry
 a payload checksum verified on load; a corrupt or foreign entry is
@@ -67,25 +69,32 @@ ARTIFACT_TOTALS = {
 # Content addressing
 # ----------------------------------------------------------------------
 
-_source_fingerprint: str | None = None
+#: Artifact kind -> the fingerprint of its source modules.
+_source_fingerprints: dict[str, str] = {}
 
 
-def _fingerprint_sources() -> str:
-    """Digest of the modules whose behavior the artifacts depend on.
+def _fingerprint_sources(kind: str) -> str:
+    """Digest of the modules whose behavior artifacts of *kind* depend
+    on.
 
     Any edit to the synthesizer, the profile tables, or the packed
-    representation changes this fingerprint and thereby every key.
+    representation changes every kind's fingerprint and thereby every
+    key; an edit to the summary code changes the ``log-stats`` keys.
     """
-    global _source_fingerprint
-    if _source_fingerprint is None:
+    fingerprint = _source_fingerprints.get(kind)
+    if fingerprint is None:
         from repro.fastpath import compiled
+        from repro.tracelog import stats
         from repro.workloads import catalog, profiles, synthesis
 
+        modules = [synthesis, profiles, catalog, compiled]
+        if kind == "log-stats":
+            modules.append(stats)
         digest = hashlib.sha256()
-        for module in (synthesis, profiles, catalog, compiled):
+        for module in modules:
             digest.update(Path(module.__file__).read_bytes())
-        _source_fingerprint = digest.hexdigest()
-    return _source_fingerprint
+        fingerprint = _source_fingerprints[kind] = digest.hexdigest()
+    return fingerprint
 
 
 def artifact_key(kind: str, profile, seed: int, scale: float) -> str:
@@ -100,7 +109,7 @@ def artifact_key(kind: str, profile, seed: int, scale: float) -> str:
         "profile": asdict(profile),
         "seed": seed,
         "scale": scale,
-        "sources": _fingerprint_sources(),
+        "sources": _fingerprint_sources(kind),
     }
     blob = json.dumps(description, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -257,10 +266,13 @@ class ArtifactCache:
         path = self._path(artifact_key("log-stats", profile, seed, scale), ".json")
         blob = self._read(path)
         if blob is not None:
+            # Every field is required, so an entry written before a
+            # field existed reads as a miss, never as a default.
             try:
                 fields = json.loads(blob.decode("utf-8"))
+                fields["lifetime_buckets"] = tuple(fields["lifetime_buckets"])
                 stats = LogStatistics(**fields)
-            except (ValueError, TypeError, UnicodeDecodeError):
+            except (KeyError, ValueError, TypeError, UnicodeDecodeError):
                 stats = None
             if stats is not None:
                 ARTIFACT_TOTALS["hits"] += 1

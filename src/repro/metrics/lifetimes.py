@@ -8,6 +8,11 @@ Figure 6 buckets lifetimes into five 20%-wide categories and plots the
 unweighted (static) percentage of traces per bucket; the paper's
 central observation is the U shape — most traces are either short-
 lived (< 20%) or long-lived (> 80%).
+
+Figure 6 itself reads the bucket counts that the log summary
+(:func:`repro.tracelog.stats.summarize_log`) computes in its one pass,
+which the artifact store memoizes; :func:`lifetime_histogram` is that
+pass's test oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ from dataclasses import dataclass
 from repro.errors import ExperimentError
 from repro.fastpath import OP_ACCESS, OP_CREATE, CompiledTraceLog, log_columns
 from repro.tracelog.records import TraceLog
-
-#: Figure 6's bucket upper bounds (fractions of execution time).
-LIFETIME_BUCKETS: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
+from repro.tracelog.stats import LIFETIME_BUCKETS
 
 #: Human-readable bucket labels in Figure 6 order.
 BUCKET_LABELS: tuple[str, ...] = (
@@ -64,15 +67,26 @@ class LifetimeHistogram:
 
     Attributes:
         benchmark: Benchmark name.
-        fractions: Percentage (0-100) of traces per bucket, in
-            :data:`BUCKET_LABELS` order; sums to 100 for a non-empty
-            log.
-        n_traces: Trace population size.
+        counts: Traces per bucket, in :data:`BUCKET_LABELS` order (a
+            summary's ``lifetime_buckets``).
     """
 
     benchmark: str
-    fractions: tuple[float, ...]
-    n_traces: int
+    counts: tuple[int, ...]
+
+    @property
+    def n_traces(self) -> int:
+        """Trace population size."""
+        return sum(self.counts)
+
+    @property
+    def fractions(self) -> tuple[float, ...]:
+        """Percentage (0-100) of traces per bucket; sums to 100 for a
+        non-empty log."""
+        population = self.n_traces
+        if population == 0:
+            return tuple(0.0 for _ in self.counts)
+        return tuple(100.0 * count / population for count in self.counts)
 
     @property
     def short_lived(self) -> float:
@@ -104,17 +118,7 @@ def bucket_of(lifetime: float) -> int:
 
 def lifetime_histogram(log: TraceLog | CompiledTraceLog) -> LifetimeHistogram:
     """Build the Figure 6 histogram for one log."""
-    lifetimes = trace_lifetimes(log)
     counts = [0] * len(LIFETIME_BUCKETS)
-    for lifetime in lifetimes.values():
+    for lifetime in trace_lifetimes(log).values():
         counts[bucket_of(lifetime)] += 1
-    population = len(lifetimes)
-    if population == 0:
-        fractions = tuple(0.0 for _ in LIFETIME_BUCKETS)
-    else:
-        fractions = tuple(100.0 * c / population for c in counts)
-    return LifetimeHistogram(
-        benchmark=log.benchmark,
-        fractions=fractions,
-        n_traces=population,
-    )
+    return LifetimeHistogram(benchmark=log.benchmark, counts=tuple(counts))

@@ -25,7 +25,10 @@ class Placement(NamedTuple):
     """A trace's location inside an arena.
 
     A NamedTuple, not a frozen dataclass: one is built on every
-    insertion and frozen-dataclass construction costs ~3x more.
+    insertion and frozen-dataclass construction costs ~3x more.  The
+    arena builds it with ``tuple.__new__(Placement, fields)``, which
+    skips the class's Python-level ``__new__`` and costs about half a
+    positional call.
 
     Attributes:
         trace_id: The placed trace.
@@ -192,7 +195,7 @@ class Arena:
                 f"trace {trace_id}: [{start}, {start + size}) overlaps "
                 f"trace {clash.trace_id} at [{clash.start}, {clash.end})"
             )
-        placement = Placement(trace_id=trace_id, start=start, size=size)
+        placement = tuple.__new__(Placement, (trace_id, start, size))
         insort(self._starts, start)
         self._by_start[start] = placement
         self._by_trace[trace_id] = placement
@@ -235,7 +238,7 @@ class Arena:
             del by_start[victim.start]
             del by_trace[victim.trace_id]
             used -= victim.size
-        placement = Placement(trace_id, start, size)
+        placement = tuple.__new__(Placement, (trace_id, start, size))
         starts[lo:hi] = (start,)
         by_start[start] = placement
         by_trace[trace_id] = placement

@@ -42,7 +42,6 @@ from repro.scenarios.space import (
     parameter_vector,
 )
 from repro.scenarios.targets import SCENARIO_TOTALS
-from repro.tracelog.stats import summarize_log
 from repro.workloads.catalog import get_profile
 from repro.workloads.profiles import WorkloadProfile
 
@@ -173,7 +172,7 @@ def regret_of(
     reference_factory = _resolve_contender(reference)
     SCENARIO_TOTALS["evaluations"] += 1
     compiled = cached_compiled(profile, seed, scale)
-    total_bytes = summarize_log(compiled).total_trace_bytes
+    total_bytes = compiled.total_trace_bytes
     capacity = max(4096, int(total_bytes * fraction))
     victim_miss = simulate_log(compiled, victim_factory(capacity)).miss_rate
     reference_miss = simulate_log(compiled, reference_factory(capacity)).miss_rate

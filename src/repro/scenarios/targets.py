@@ -30,7 +30,7 @@ from repro.cachesim.simulator import simulate_log
 from repro.core.unified import UnifiedCacheManager
 from repro.errors import ConfigError
 from repro.fastpath.artifacts import cached_compiled, get_cache
-from repro.metrics.lifetimes import BUCKET_LABELS, lifetime_histogram
+from repro.metrics.lifetimes import BUCKET_LABELS, LifetimeHistogram
 from repro.tracelog.stats import summarize_log
 from repro.units import KB
 from repro.workloads.profiles import WorkloadProfile
@@ -215,7 +215,7 @@ def measure_profile(
         stats = store.log_stats(
             profile, seed, scale, lambda: summarize_log(compiled)
         )
-    histogram = lifetime_histogram(compiled)
+    histogram = LifetimeHistogram(stats.benchmark, stats.lifetime_buckets)
     curve = []
     for fraction in fractions:
         capacity = max(4096, int(stats.total_trace_bytes * fraction))

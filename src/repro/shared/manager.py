@@ -661,10 +661,8 @@ class SharedAllGroup(SharedCacheGroup):
                     trace = cache.remove(gid)
                     effects.append(
                         Evicted(
-                            trace_id=trace.trace_id,
-                            size=trace.size,
-                            cache=cache.name,
-                            reason=EvictionReason.UNMAP,
+                            trace.trace_id, trace.size, cache.name,
+                            EvictionReason.UNMAP,
                         )
                     )
                     break

@@ -1,13 +1,17 @@
 """Summary statistics over a trace log.
 
 These are the per-benchmark numbers Section 3 of the paper reports:
-total trace bytes (the unbounded cache size), insertion rate, and the
-fraction of trace bytes that must be deleted because their module was
-unmapped.
+total trace bytes, the bytes an unbounded cache allocates (Figure 1's
+maxCache), insertion rate, the fraction of trace bytes that must be
+deleted because their module was unmapped, and the trace-lifetime
+histogram (Figure 6).  All of them are properties of the log, not of
+a cache configuration, so one pass computes them and the artifact
+store memoizes the result.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -15,6 +19,9 @@ from repro.tracelog.records import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fastpath import CompiledTraceLog
+
+#: Figure 6's bucket upper bounds (fractions of execution time).
+LIFETIME_BUCKETS: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 @dataclass(frozen=True)
@@ -35,6 +42,15 @@ class LogStatistics:
         median_trace_size: Median created-trace size in bytes.
         end_time: Total virtual execution time.
         code_footprint: Static application footprint (Eq 1 denominator).
+        unbounded_bytes: Bytes an unbounded cache allocates replaying
+            the log (Figure 1's maxCache): every creation, plus one
+            regeneration for each access to a trace that its module's
+            unmap removed, up to the first end record, where replay
+            stops.  Equal to ``UnboundedCache.high_water_mark`` after
+            the replay.
+        lifetime_buckets: Traces per Figure 6 lifetime bucket
+            (Equation 2), in :data:`LIFETIME_BUCKETS` order; all zero
+            when the log has no execution time.
     """
 
     benchmark: str
@@ -48,6 +64,8 @@ class LogStatistics:
     median_trace_size: float
     end_time: int
     code_footprint: int
+    unbounded_bytes: int
+    lifetime_buckets: tuple[int, ...]
 
     @property
     def insertion_rate_bytes_per_second(self) -> float:
@@ -80,9 +98,9 @@ def summarize_log(log: TraceLog | CompiledTraceLog) -> LogStatistics:
     columns (a :class:`TraceLog` is compiled first)."""
     # Imported lazily: repro.fastpath packs this package's record types,
     # so a module-level import would cycle.
-    from repro.fastpath import OP_CREATE, OP_UNMAP, log_columns
+    from repro.fastpath import OP_ACCESS, OP_CREATE, OP_END, OP_UNMAP, log_columns
 
-    op, _time, _trace_id, size, module, repeat = log_columns(log)
+    op, times, trace_ids, size, module, repeat = log_columns(log)
     sizes: list[int] = []
     n_unmaps = 0
     unmapped_bytes = 0
@@ -90,15 +108,48 @@ def summarize_log(log: TraceLog | CompiledTraceLog) -> LogStatistics:
     # Sizes of the traces currently attributable to each module
     # (created, and their module not yet unmapped since creation).
     live_by_module: dict[int, list[int]] = {}
-    for code, trace_size, module_id in zip(op, size, module):
-        if code == OP_CREATE:
+    # The unbounded cache's replay state.  Only an unmap makes a trace
+    # non-resident there, and the next access regenerates it with the
+    # size and module of its latest creation.
+    created: dict[int, tuple[int, int]] = {}
+    resident_by_module: dict[int, list[int]] = {}
+    unmapped: set[int] = set()
+    allocated = 0
+    unbounded_bytes = None
+    # Equation 2's first and last execution of every trace.
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for code, time, trace_id, trace_size, module_id in zip(
+        op, times, trace_ids, size, module
+    ):
+        if code == OP_ACCESS:
+            if trace_id not in first:
+                first[trace_id] = time
+            last[trace_id] = time
+            if trace_id in unmapped:
+                unmapped.remove(trace_id)
+                trace_size, module_id = created[trace_id]
+                allocated += trace_size
+                resident_by_module.setdefault(module_id, []).append(trace_id)
+        elif code == OP_CREATE:
             sizes.append(trace_size)
             live_by_module.setdefault(module_id, []).append(trace_size)
+            created[trace_id] = (trace_size, module_id)
+            unmapped.discard(trace_id)
+            allocated += trace_size
+            resident_by_module.setdefault(module_id, []).append(trace_id)
+            if trace_id not in first:
+                first[trace_id] = time
+            if trace_id not in last:
+                last[trace_id] = time
         elif code == OP_UNMAP:
             n_unmaps += 1
             victims = live_by_module.pop(module_id, [])
             unmapped_traces += len(victims)
             unmapped_bytes += sum(victims)
+            unmapped.update(resident_by_module.pop(module_id, ()))
+        elif code == OP_END and unbounded_bytes is None:
+            unbounded_bytes = allocated
     return LogStatistics(
         benchmark=log.benchmark,
         duration_seconds=log.duration_seconds,
@@ -112,4 +163,21 @@ def summarize_log(log: TraceLog | CompiledTraceLog) -> LogStatistics:
         median_trace_size=_median(sizes),
         end_time=log.end_time,
         code_footprint=log.code_footprint,
+        unbounded_bytes=allocated if unbounded_bytes is None else unbounded_bytes,
+        lifetime_buckets=_lifetime_buckets(first, last, log.end_time),
     )
+
+
+def _lifetime_buckets(
+    first: dict[int, int], last: dict[int, int], total: int
+) -> tuple[int, ...]:
+    """Count Equation 2 lifetimes per Figure 6 bucket.  A lifetime
+    outside [0, 1], which only a log whose times run backwards or past
+    its last end record yields, counts in the nearest edge bucket."""
+    counts = [0] * len(LIFETIME_BUCKETS)
+    if total > 0:
+        top = len(LIFETIME_BUCKETS) - 1
+        for trace_id, start in first.items():
+            lifetime = (last[trace_id] - start) / total
+            counts[min(bisect_left(LIFETIME_BUCKETS, lifetime), top)] += 1
+    return tuple(counts)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +90,24 @@ def test_keys_separate_parameters():
     assert artifact_key("log-stats", gzip, 42, 2.0) != base
 
 
+def test_stats_keys_follow_the_summary_code(monkeypatch, tmp_path):
+    """An edit to the summary code re-keys the statistics, and only
+    them: a compiled log does not depend on it."""
+    from repro.tracelog import stats as stats_module
+
+    gzip = get_profile("gzip")
+    compiled_key = artifact_key("compiled-log", gzip, 42, 2.0)
+    stats_key = artifact_key("log-stats", gzip, 42, 2.0)
+    edited = tmp_path / "stats.py"
+    edited.write_bytes(
+        Path(stats_module.__file__).read_bytes() + b"\n# an edit\n"
+    )
+    monkeypatch.setattr(stats_module, "__file__", str(edited))
+    monkeypatch.setattr(artifacts_module, "_source_fingerprints", {})
+    assert artifact_key("log-stats", gzip, 42, 2.0) != stats_key
+    assert artifact_key("compiled-log", gzip, 42, 2.0) == compiled_key
+
+
 # ----------------------------------------------------------------------
 # Store behavior
 # ----------------------------------------------------------------------
@@ -139,6 +159,23 @@ def test_log_stats_roundtrip(store, small_log):
         profile, 7, 1.0, lambda: pytest.fail("stats recomputed on warm hit")
     )
     assert warm == reference
+
+
+def test_stats_entry_missing_a_field_is_a_miss(store, small_log):
+    """An entry written before a field existed is recomputed, never
+    read with a default."""
+    profile = get_profile("gzip")
+    reference = summarize_log(small_log)
+    fields = asdict(reference)
+    del fields["unbounded_bytes"], fields["lifetime_buckets"]
+    path = store._path(artifact_key("log-stats", profile, 7, 1.0), ".json")
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(fields))
+    before = _totals()
+    stats = store.log_stats(profile, 7, 1.0, lambda: reference)
+    assert _delta(before)["misses"] == 1
+    assert stats == reference
+    assert json.loads(path.read_text())["unbounded_bytes"] == 770
 
 
 def test_cached_log_matches_synthesis(store):
